@@ -16,11 +16,10 @@ from .corrector import (
     correct_word,
     count_ambiguous,
     diacritic_correct,
-    expand_abbreviation,
     generate_candidates,
 )
 from .errors import CandidateExplosionError, ParseError, TurlexError
-from .ngrams import NgramKey, NgramTable, extract_ngrams, merge_tables, verify_partition
+from .ngrams import NgramKey, NgramTable, extract_ngrams, verify_partition
 from .pipeline import (
     JobConfig,
     PipelineReport,
@@ -90,7 +89,6 @@ __all__ = [
     "count_ambiguous",
     "diacritic_correct",
     "dump_dictionary",
-    "expand_abbreviation",
     "extract_ngrams",
     "generate_candidates",
     "gestalt_similarity",
@@ -101,7 +99,6 @@ __all__ = [
     "load_dictionary",
     "load_stopwords",
     "load_suffixes",
-    "merge_tables",
     "remove_stopwords",
     "round_score",
     "run_pipeline",

@@ -12,7 +12,6 @@ from .pipeline import (
     JobConfig,
     bench_compare,
     correct_text,
-    ingest_jsonl,  # noqa: F401  (re-export for scripting convenience)
     round_score,
     run_pipeline,
 )
@@ -66,7 +65,7 @@ def build_parser() -> argparse.ArgumentParser:
     build.add_argument("--out", required=True, metavar="DIR", help="output directory for the TSV files")
     build.add_argument("--grams", type=_parse_grams, default=(1, 2, 3), metavar="N,N", help="gram sizes to build (default 1,2,3)")
     build.add_argument("--classes", type=lambda t: _parse_int_set(t, "--classes"), default=frozenset(range(6)), metavar="RANGE", help="accepted rating classes, e.g. 0-5 or 1,3,5 (default 0-5)")
-    build.add_argument("--workers", type=int, default=1, metavar="N", help="shard worker count (default 1); output bytes do not depend on it")
+    build.add_argument("--workers", type=int, default=1, metavar="N", help="accepted for compatibility and has no effect; the build runs serially (default 1)")
     build.add_argument("--min-count", type=int, default=1, metavar="K", help="drop n-grams seen fewer than K times (default 1)")
     build.add_argument("--skip-bad-lines", action="store_true", help="count malformed input lines instead of failing")
     _add_resource_flags(build)
@@ -119,7 +118,8 @@ def _cmd_correct(args: argparse.Namespace) -> int:
     config = CorrectorConfig(fuzzy_threshold=args.fuzzy_threshold)
     for line in sys.stdin:
         corrected, results = correct_text(line.rstrip("\n"), resources, config)
-        print(corrected)
+        # Flush per line so a client that waits for each answer never stalls.
+        print(corrected, flush=True)
         if args.trace:
             for result in results:
                 print(

@@ -18,12 +18,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import BinaryIO, Iterable, Mapping
+from typing import Iterable
 
-from .errors import CandidateExplosionError, ParseError
+from .errors import CandidateExplosionError
 from .resources import Dictionary, LexiconResources
 from .similarity import best_matches
-from .tokenizer import collapse_repeats, turkish_lowercase
+from .tokenizer import collapse_repeats
 
 __all__ = [
     "Method",
@@ -35,7 +35,6 @@ __all__ = [
     "candidate_count",
     "generate_candidates",
     "diacritic_correct",
-    "expand_abbreviation",
     "correct_word",
 ]
 
@@ -94,20 +93,6 @@ class AmbiguityMap:
         """Rewrite every second pair member to its first (ç -> c, ü -> u...)."""
         return "".join(self._fold.get(ch, ch) for ch in word)
 
-    @classmethod
-    def load(cls, source: BinaryIO, name: str | None = None) -> "AmbiguityMap":
-        """Read one a<TAB>b pair per line."""
-        pairs = []
-        text = source.read().decode("utf-8")
-        for lineno, line in enumerate(text.splitlines(), start=1):
-            if not line.strip():
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2:
-                raise ParseError(f"expected a<TAB>b, got {line!r}", lineno, name)
-            pairs.append((turkish_lowercase(parts[0].strip()), turkish_lowercase(parts[1].strip())))
-        return cls(pairs)
-
 
 DEFAULT_AMBIGUITY_MAP = AmbiguityMap()
 
@@ -117,14 +102,11 @@ class CorrectorConfig:
     """Thresholds and caps for the correction cascade."""
 
     fuzzy_threshold: float = 0.8
-    compare_threshold: float = 0.6
     max_toggle_positions: int = 16
 
     def __post_init__(self) -> None:
-        for field_name in ("fuzzy_threshold", "compare_threshold"):
-            value = getattr(self, field_name)
-            if not 0.0 <= value <= 1.0:
-                raise ValueError(f"{field_name} must be within [0, 1], got {value!r}")
+        if not 0.0 <= self.fuzzy_threshold <= 1.0:
+            raise ValueError(f"fuzzy_threshold must be within [0, 1], got {self.fuzzy_threshold!r}")
         if self.max_toggle_positions < 0:
             raise ValueError("max_toggle_positions must be non-negative")
 
@@ -228,11 +210,6 @@ def diacritic_correct(
     return min(hits)[2]
 
 
-def expand_abbreviation(word: str, table: Mapping[str, str]) -> str | None:
-    """The expansion for a known abbreviation, or None."""
-    return table.get(word)
-
-
 def correct_word(
     word: str,
     resources: LexiconResources,
@@ -278,11 +255,11 @@ def _early_stages(
     trace: list[str],
 ) -> tuple[str, Method, float] | None:
     """Cascade stages 1 and 2: exact dictionary hit, abbreviation."""
-    if resources.dictionary.is_known(word):
+    if word in resources.dictionary:
         trace.append(Method.EXACT.value)
         return word, Method.EXACT, 1.0
 
-    expansion = expand_abbreviation(word, resources.abbreviations)
+    expansion = resources.abbreviations.get(word)
     if expansion is not None:
         trace.append(Method.ABBREVIATION.value)
         return expansion, Method.ABBREVIATION, 1.0

@@ -9,7 +9,6 @@ __all__ = [
     "NgramKey",
     "extract_ngrams",
     "NgramTable",
-    "merge_tables",
     "verify_partition",
 ]
 
@@ -33,8 +32,8 @@ def extract_ngrams(terms: Sequence[str], n: int) -> list[NgramKey]:
 class NgramTable:
     """Counts of n-grams partitioned by rating class.
 
-    One table counts a single gram size. Tables merge pointwise, so shard
-    workers can accumulate independently and combine later; merging is
+    One table counts a single gram size. Tables merge pointwise, so each
+    input file can be counted on its own and combined later; merging is
     commutative and associative with the empty table as identity.
     """
 
@@ -137,11 +136,6 @@ class NgramTable:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         sizes = {r: len(c) for r, c in sorted(self.class_tables.items())}
         return f"NgramTable(n={self.n}, classes={sizes})"
-
-
-def merge_tables(a: NgramTable, b: NgramTable) -> NgramTable:
-    """Module-level alias for NgramTable.merge."""
-    return a.merge(b)
 
 
 def verify_partition(table: NgramTable) -> None:

@@ -1,18 +1,19 @@
 """Batch pipeline: ingest rated reviews, correct and stem tokens, emit
 rating-partitioned n-gram lexicon files.
 
-Reviews are assigned round-robin to a fixed number of shards and each
-shard accumulates its own n-gram tables. Corrections are pure functions of
-the shared read-only resources, and merged tables do not depend on merge
-order, so the emitted files are byte-identical for any worker count.
+The build runs serially, one map task per input file: each file's reviews
+are counted into n-gram tables of their own, which are then merged into the
+run's tables. Corrections are pure functions of the read-only resources, so
+each distinct surface form is corrected and stemmed once per run. Merged
+tables do not depend on merge order, and the emitted files depend only on
+the multiset of reviews. ``JobConfig.workers`` is accepted and validated but
+has no effect.
 """
 
 from __future__ import annotations
 
 import json
 import time
-from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from decimal import ROUND_HALF_UP, Decimal
 from pathlib import Path
@@ -58,7 +59,7 @@ class JobConfig:
     out_dir: str
     gram_sizes: tuple[int, ...] = (1, 2, 3)
     classes: frozenset[int] = DEFAULT_CLASSES
-    workers: int = 1
+    workers: int = 1  # validated, but has no effect: the build runs serially
     min_count: int = 1
     corrector: CorrectorConfig = field(default_factory=CorrectorConfig)
     dictionary_path: str | None = None
@@ -125,31 +126,41 @@ def ingest_jsonl(
 ) -> tuple[list[RawReview], int]:
     """Read one {"text": ..., "rating": ...} JSON object per line.
 
-    Blank lines are skipped silently. A malformed line raises ParseError
-    with its line number unless skip_bad_lines is set, in which case it is
-    counted instead. Returns (reviews, skipped_count).
+    Lines end at b"\\n" only. Blank lines are skipped silently. A line that
+    is not valid UTF-8 or not a valid review raises ParseError with its line
+    number unless skip_bad_lines is set, in which case it is counted
+    instead. Returns (reviews, skipped_count).
     """
     reviews: list[RawReview] = []
     skipped = 0
-    data = source.read().decode("utf-8", errors="replace")
-    for lineno, line in enumerate(data.splitlines(), start=1):
-        if not line.strip():
-            continue
+    for lineno, raw in enumerate(source, start=1):
         try:
-            reviews.append(_parse_review(line, classes))
+            review = _parse_review(raw, classes)
         except ParseError as exc:
             if skip_bad_lines:
                 skipped += 1
                 continue
             raise ParseError(exc.message, lineno, name) from None
+        if review is not None:
+            reviews.append(review)
     return reviews, skipped
 
 
-def _parse_review(line: str, classes: frozenset[int]) -> RawReview:
+def _parse_review(raw: bytes, classes: frozenset[int]) -> RawReview | None:
+    """The review on one input line, or None for a blank line."""
+    try:
+        line = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"not valid UTF-8: {exc.reason}") from None
+    if not line.strip():
+        return None
     try:
         obj = json.loads(line)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc.msg}")
+    except (ValueError, RecursionError) as exc:
+        # Nesting too deep to decode, or an integer beyond the digit limit.
+        raise ParseError(f"invalid JSON: {exc}")
     if not isinstance(obj, dict):
         raise ParseError(f"expected a JSON object, got {type(obj).__name__}")
     text = obj.get("text")
@@ -163,52 +174,15 @@ def _parse_review(line: str, classes: frozenset[int]) -> RawReview:
     return RawReview(text, rating)
 
 
-@dataclass
-class _ShardResult:
-    tables: dict[int, NgramTable]
-    tokens_seen: int = 0
-    tokens_kept: int = 0
-    methods: Counter = field(default_factory=Counter)
-    reviews_by_class: Counter = field(default_factory=Counter)
-
-
-def _process_shard(
-    shard: Sequence[RawReview],
-    resources: LexiconResources,
-    config: JobConfig,
-    ambiguity: AmbiguityMap,
-) -> _ShardResult:
-    result = _ShardResult({n: NgramTable(n, config.classes) for n in config.gram_sizes})
-    # Corrections are pure, so repeated words resolve from a shard-local cache.
-    cache: dict[str, CorrectionResult] = {}
-    for review in shard:
-        result.reviews_by_class[review.rating] += 1
-        tokens = tokenize(review.text)
-        result.tokens_seen += len(tokens)
-        kept = remove_stopwords(tokens, resources.stopwords)
-        result.tokens_kept += len(kept)
-        stems: list[str] = []
-        for token in kept:
-            correction = cache.get(token.surface)
-            if correction is None:
-                correction = correct_word(token.surface, resources, config.corrector, ambiguity)
-                cache[token.surface] = correction
-            result.methods[correction.method.value] += 1
-            # Abbreviations may expand to several words; each one is stemmed.
-            for piece in correction.corrected.split():
-                stems.append(resources.stemmer.stem(piece))
-        for n in config.gram_sizes:
-            result.tables[n].accumulate(review.rating, extract_ngrams(stems, n))
-    return result
-
-
 def run_pipeline(config: JobConfig, resources: LexiconResources | None = None) -> PipelineReport:
     """Run the full batch job and write lexicon files into config.out_dir.
 
-    The emitted bytes are a function of the inputs, the resources and the
-    config minus its worker count; worker count only changes wall time.
+    Each input file is one map task whose tables are merged into the run's
+    tables. The emitted bytes are a function of the multiset of reviews, the
+    resources and the config; ``config.workers`` has no effect.
     """
     report = PipelineReport()
+    phase = report.phase_seconds = dict.fromkeys(("ingest", "map", "merge"), 0.0)
     t0 = time.perf_counter()
     if resources is None:
         resources = LexiconResources.from_paths(
@@ -217,50 +191,64 @@ def run_pipeline(config: JobConfig, resources: LexiconResources | None = None) -
             abbreviations=config.abbreviations_path,
             suffixes=config.suffixes_path,
         )
-    ambiguity = DEFAULT_AMBIGUITY_MAP
-
-    reviews: list[RawReview] = []
-    for path in config.inputs:
-        with open(path, "rb") as stream:
-            loaded, skipped = ingest_jsonl(stream, config.classes, config.skip_bad_lines, path)
-        reviews.extend(loaded)
-        report.reviews_skipped += skipped
-    report.reviews_ingested = len(reviews)
-    t1 = time.perf_counter()
-    report.phase_seconds["ingest"] = t1 - t0
-
-    shards: list[list[RawReview]] = [[] for _ in range(config.workers)]
-    for index, review in enumerate(reviews):
-        shards[index % config.workers].append(review)
-
-    if config.workers == 1:
-        shard_results = [_process_shard(shards[0], resources, config, ambiguity)]
-    else:
-        with ThreadPoolExecutor(max_workers=config.workers) as pool:
-            futures = [
-                pool.submit(_process_shard, shard, resources, config, ambiguity)
-                for shard in shards
-            ]
-            shard_results = [future.result() for future in futures]
-    t2 = time.perf_counter()
-    report.phase_seconds["map"] = t2 - t1
 
     tables = {n: NgramTable(n, config.classes) for n in config.gram_sizes}
-    for shard_result in shard_results:
+    # Corrections are pure, so each distinct surface form is corrected and
+    # stemmed once per run: surface -> (method, stems of its corrected pieces).
+    resolved: dict[str, tuple[str, list[str]]] = {}
+    for path in config.inputs:
+        with open(path, "rb") as stream:
+            reviews, skipped = ingest_jsonl(stream, config.classes, config.skip_bad_lines, path)
+        report.reviews_ingested += len(reviews)
+        report.reviews_skipped += skipped
+        t1 = time.perf_counter()
+        file_tables = _map(reviews, resources, config, resolved, report)
+        t2 = time.perf_counter()
         for n in config.gram_sizes:
-            tables[n] = tables[n].merge(shard_result.tables[n])
-        report.tokens_seen += shard_result.tokens_seen
-        report.tokens_kept += shard_result.tokens_kept
-        for method, count in shard_result.methods.items():
-            report.corrections[method] = report.corrections.get(method, 0) + count
-        for rating, count in shard_result.reviews_by_class.items():
-            report.reviews_by_class[rating] = report.reviews_by_class.get(rating, 0) + count
-    t3 = time.perf_counter()
-    report.phase_seconds["merge"] = t3 - t2
+            tables[n] = tables[n].merge(file_tables[n])
+        t3 = time.perf_counter()
+        phase["ingest"] += t1 - t0
+        phase["map"] += t2 - t1
+        phase["merge"] += t3 - t2
+        t0 = t3
 
     report.files_emitted = _emit(tables, Path(config.out_dir), config.min_count)
-    report.phase_seconds["emit"] = time.perf_counter() - t3
+    phase["emit"] = time.perf_counter() - t0
     return report
+
+
+def _map(
+    reviews: list[RawReview],
+    resources: LexiconResources,
+    config: JobConfig,
+    resolved: dict[str, tuple[str, list[str]]],
+    report: PipelineReport,
+) -> dict[int, NgramTable]:
+    """Count one input file's n-grams into tables of its own."""
+    tables = {n: NgramTable(n, config.classes) for n in config.gram_sizes}
+    by_class = report.reviews_by_class
+    methods = report.corrections
+    for review in reviews:
+        by_class[review.rating] = by_class.get(review.rating, 0) + 1
+        tokens = tokenize(review.text)
+        report.tokens_seen += len(tokens)
+        kept = remove_stopwords(tokens, resources.stopwords)
+        report.tokens_kept += len(kept)
+        stems: list[str] = []
+        for token in kept:
+            entry = resolved.get(token.surface)
+            if entry is None:
+                correction = correct_word(token.surface, resources, config.corrector)
+                # Abbreviations may expand to several words; each one is stemmed.
+                pieces = correction.corrected.split()
+                entry = (correction.method.value, [resources.stemmer.stem(p) for p in pieces])
+                resolved[token.surface] = entry
+            method, token_stems = entry
+            methods[method] = methods.get(method, 0) + 1
+            stems += token_stems
+        for n in config.gram_sizes:
+            tables[n].accumulate(review.rating, extract_ngrams(stems, n))
+    return tables
 
 
 def _emit(tables: dict[int, NgramTable], out_dir: Path, min_count: int) -> list[str]:

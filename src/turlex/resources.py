@@ -47,10 +47,7 @@ class Dictionary:
         self._trie = None
 
     def __contains__(self, word: str) -> bool:
-        return word in self._entries
-
-    def is_known(self, word: str) -> bool:
-        """Exact membership; "cok" is not known just because "çok" is."""
+        """Exact membership: "cok" is not a member just because "çok" is."""
         return word in self._entries
 
     def frequency(self, word: str) -> int:
@@ -87,6 +84,16 @@ class Dictionary:
         return self._trie
 
 
+def _read_lines(source: BinaryIO, name: str | None) -> list[str]:
+    """The lines of a UTF-8 resource; undecodable bytes raise ParseError."""
+    data = source.read()
+    try:
+        return data.decode("utf-8").splitlines()
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise ParseError(f"not valid UTF-8: {exc.reason}", line, name) from None
+
+
 def load_dictionary(source: BinaryIO, name: str | None = None) -> Dictionary:
     """Parse "word<TAB>frequency" lines into a Dictionary.
 
@@ -96,11 +103,7 @@ def load_dictionary(source: BinaryIO, name: str | None = None) -> Dictionary:
     number.
     """
     dictionary = Dictionary()
-    try:
-        text = source.read().decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise ParseError(f"not valid UTF-8: {exc}", source=name) from exc
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in enumerate(_read_lines(source, name), start=1):
         if not line.strip():
             continue
         parts = line.split("\t")
@@ -131,8 +134,7 @@ def dump_dictionary(dictionary: Dictionary, sink: BinaryIO) -> None:
 def load_stopwords(source: BinaryIO, name: str | None = None) -> frozenset[str]:
     """One stopword per line; blank lines and '#' comments are ignored."""
     words = set()
-    text = source.read().decode("utf-8")
-    for line in text.splitlines():
+    for line in _read_lines(source, name):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
@@ -143,8 +145,7 @@ def load_stopwords(source: BinaryIO, name: str | None = None) -> frozenset[str]:
 def load_abbreviations(source: BinaryIO, name: str | None = None) -> dict[str, str]:
     """Parse "abbreviation<TAB>expansion" lines into a lookup table."""
     table: dict[str, str] = {}
-    text = source.read().decode("utf-8")
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in enumerate(_read_lines(source, name), start=1):
         if not line.strip():
             continue
         parts = line.split("\t")
@@ -157,8 +158,7 @@ def load_abbreviations(source: BinaryIO, name: str | None = None) -> dict[str, s
 def load_suffixes(source: BinaryIO, name: str | None = None) -> list[str]:
     """One suffix per line in priority order; '#' comment lines are ignored."""
     suffixes = []
-    text = source.read().decode("utf-8")
-    for line in text.splitlines():
+    for line in _read_lines(source, name):
         line = line.strip()
         if not line or line.startswith("#"):
             continue

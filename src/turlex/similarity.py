@@ -96,8 +96,17 @@ def best_matches(
     except KeyError:
         raise ValueError(f"unknown metric {metric!r}") from None
 
+    # The gestalt ratio is 2.0 * M / (la + lb) with M <= min(la, lb), so a
+    # candidate whose length alone caps it below threshold can be skipped
+    # without changing any answer. Kept in float form to match the ratio.
+    bounded = metric == "gestalt"
+    la = len(word)
     scored = []
     for candidate in dictionary:
+        if bounded:
+            lb = len(candidate)
+            if la + lb and 2.0 * min(la, lb) / (la + lb) < threshold:
+                continue
         score = score_fn(word, candidate)
         if score >= threshold:
             scored.append((-score, levenshtein_distance(word, candidate), candidate))

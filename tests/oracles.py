@@ -90,3 +90,22 @@ def slow_diacritic_pick(
 def slow_ngrams(tokens: list[str], n: int) -> list[tuple[str, ...]]:
     """Sliding windows by index arithmetic."""
     return [tuple(tokens[i : i + n]) for i in range(len(tokens) - n + 1)]
+
+
+def slow_best_matches(
+    word: str,
+    dictionary: list[str],
+    metric: str = "gestalt",
+    threshold: float = 0.8,
+) -> list[tuple[str, float]]:
+    """Score every entry, no pruning; rank by score, edit distance, code points."""
+    if metric == "gestalt":
+        scores = {c: slow_gestalt(word, c) for c in dictionary}
+    else:
+        scores = {
+            c: 1.0 if not (word or c) else 1.0 - slow_levenshtein(word, c) / max(len(word), len(c))
+            for c in dictionary
+        }
+    hits = [c for c in dictionary if scores[c] >= threshold]
+    hits.sort(key=lambda c: (-scores[c], slow_levenshtein(word, c), c))
+    return [(c, scores[c]) for c in hits]

@@ -1,9 +1,15 @@
 import argparse
 import io
 import json
+import os
+import select
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import turlex
 from turlex.cli import _parse_grams, _parse_int_set, build_parser, main
 
 
@@ -147,6 +153,31 @@ class TestCorrectCommand:
         assert code == 0
         assert captured.out == "çok\n"
         assert "cok -> çok  diacritic  1.00" in captured.err
+
+    def test_answers_each_line_before_stdin_closes(self, resource_files):
+        src = str(Path(turlex.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        env.pop("PYTHONUNBUFFERED", None)  # stdout must flush by itself
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "turlex.cli", "correct"] + resource_flags(resource_files),
+            stdin=subprocess.PIPE,
+            stdout=subprocess.PIPE,
+            env=env,
+        )
+        try:
+            proc.stdin.write("cok guzel\n".encode("utf-8"))
+            proc.stdin.flush()
+            ready, _, _ = select.select([proc.stdout], [], [], 20)
+            assert ready, "no answer while stdin is still open"
+            assert proc.stdout.readline().decode("utf-8") == "çok güzel\n"
+            proc.stdin.close()
+            assert proc.wait(timeout=20) == 0
+        finally:
+            proc.stdin.close()
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait()
+            proc.stdout.close()
 
     def test_fuzzy_threshold_flag(self, resource_files, capsys, monkeypatch):
         monkeypatch.setattr("sys.stdin", io.StringIO("gelirm\n"))

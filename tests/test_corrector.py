@@ -1,5 +1,3 @@
-import io
-
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
@@ -15,7 +13,6 @@ from turlex import (
     correct_word,
     count_ambiguous,
     diacritic_correct,
-    expand_abbreviation,
     generate_candidates,
 )
 from turlex.corrector import DEFAULT_TOGGLE_PAIRS
@@ -56,17 +53,6 @@ class TestAmbiguityMap:
     def test_rejects_reused_letters(self):
         with pytest.raises(ValueError, match="disjoint"):
             AmbiguityMap([("a", "b"), ("b", "c")])
-
-    def test_load(self):
-        amap = AmbiguityMap.load(io.BytesIO("c\tç\ng\tğ\n".encode("utf-8")))
-        assert amap.partner("c") == "ç"
-        assert amap.fold("ğç") == "gc"
-
-    def test_load_rejects_bad_line(self):
-        from turlex import ParseError
-
-        with pytest.raises(ParseError, match="line 2"):
-            AmbiguityMap.load(io.BytesIO("c\tç\noops\n".encode("utf-8")))
 
 
 class TestCandidateGeneration:
@@ -166,13 +152,6 @@ class TestDiacriticCorrect:
     def test_matches_naive_on_random_dictionaries(self, word, entries):
         d = freq_dict(entries)
         assert diacritic_correct(word, d) == slow_diacritic_pick(word, PAIRS, entries)
-
-
-class TestExpandAbbreviation:
-    def test_hit_and_miss(self):
-        table = {"slm": "selam"}
-        assert expand_abbreviation("slm", table) == "selam"
-        assert expand_abbreviation("selam", table) is None
 
 
 class TestCorrectWord:
@@ -282,8 +261,6 @@ class TestCorrectorConfig:
     def test_threshold_validation(self):
         with pytest.raises(ValueError, match="fuzzy_threshold"):
             CorrectorConfig(fuzzy_threshold=1.2)
-        with pytest.raises(ValueError, match="compare_threshold"):
-            CorrectorConfig(compare_threshold=-0.5)
 
     def test_cap_validation(self):
         with pytest.raises(ValueError, match="max_toggle_positions"):
@@ -292,7 +269,6 @@ class TestCorrectorConfig:
     def test_defaults(self):
         config = CorrectorConfig()
         assert config.fuzzy_threshold == 0.8
-        assert config.compare_threshold == 0.6
         assert config.max_toggle_positions == 16
 
 

@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from turlex import NgramTable, extract_ngrams, merge_tables, verify_partition
+from turlex import NgramTable, extract_ngrams, verify_partition
 
 from .oracles import slow_ngrams
 
@@ -114,11 +114,6 @@ class TestMerge:
         a = NgramTable(1, classes=[1])
         b = NgramTable(1)
         assert a.merge(b).allowed_classes is None
-
-    def test_module_level_alias(self):
-        a = table_from(1, [(1, ["çok"])])
-        b = table_from(1, [(2, ["iyi"])])
-        assert merge_tables(a, b) == a.merge(b)
 
     @given(tables(2), tables(2))
     def test_commutative(self, a, b):

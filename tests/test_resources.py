@@ -39,8 +39,8 @@ class TestLoadDictionary:
 
     def test_words_are_lowercased_turkish_style(self):
         d = load_dictionary(buf("İYİ\t3\nIŞIK\t2\n"))
-        assert d.is_known("iyi")
-        assert d.is_known("ışık")
+        assert "iyi" in d
+        assert "ışık" in d
 
     def test_blank_lines_skipped(self):
         d = load_dictionary(buf("\nçok\t1\n\n\n"))
@@ -95,7 +95,6 @@ class TestDictionary:
         d = Dictionary({"çok": 1})
         assert "çok" in d
         assert "cok" not in d
-        assert not d.is_known("cok")
 
     def test_unknown_frequency_is_zero(self):
         assert Dictionary().frequency("yok") == 0
@@ -209,7 +208,7 @@ class TestLexiconResources:
             abbreviations=str(tmp_path / "a.tsv"),
             suffixes=str(tmp_path / "x.txt"),
         )
-        assert res.dictionary.is_known("çok")
+        assert "çok" in res.dictionary
         assert "ve" in res.stopwords
         assert res.abbreviations["slm"] == "selam"
         assert res.stemmer.stem("filmler") == "film"
@@ -220,7 +219,7 @@ class TestLexiconResources:
         assert bundled.abbreviations["slm"] == "selam"
         # bundled stopwords and dictionary overlap would make corrections
         # of kept tokens ambiguous in spirit; keep them disjoint
-        overlap = {w for w in bundled.stopwords if bundled.dictionary.is_known(w)}
+        overlap = {w for w in bundled.stopwords if w in bundled.dictionary}
         assert overlap == set()
 
     def test_missing_file_raises(self):

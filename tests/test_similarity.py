@@ -11,7 +11,7 @@ from turlex import (
     levenshtein_similarity,
 )
 
-from .oracles import slow_gestalt, slow_levenshtein
+from .oracles import slow_best_matches, slow_gestalt, slow_levenshtein
 
 # Frozen scores for the comparison fixtures; also asserted in acceptance.
 REFERENCE_GESTALT = [
@@ -178,3 +178,17 @@ class TestBestMatches:
         scores = [m.score for m in matches]
         assert scores == sorted(scores, reverse=True)
         assert all(s >= 0.5 for s in scores)
+
+    # A two-letter alphabet makes one word often contain the other, so
+    # scores reach the length bound 2*min/(la+lb); thresholds equal to such
+    # a bound sit on the pruning edge and are drawn on purpose.
+    @given(
+        st.text(alphabet="ab", max_size=8),
+        st.lists(st.text(alphabet="ab", max_size=8), max_size=10),
+        st.sampled_from(["gestalt", "levenshtein"]),
+        st.sampled_from([0.0, 0.5, 0.6, 2 / 3, 0.8, 6 / 7, 1.0]) | st.floats(0.0, 1.0),
+    )
+    @settings(max_examples=300, deadline=2000)
+    def test_matches_full_scan_oracle(self, word, candidates, metric, threshold):
+        got = [(m.candidate, m.score) for m in best_matches(word, candidates, metric, threshold)]
+        assert got == slow_best_matches(word, candidates, metric, threshold)
