@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from .corrector import CorrectorConfig
@@ -12,6 +11,7 @@ from .pipeline import (
     JobConfig,
     bench_compare,
     correct_text,
+    decode_json_object,
     round_score,
     run_pipeline,
 )
@@ -133,19 +133,21 @@ def _cmd_correct(args: argparse.Namespace) -> int:
 def _cmd_bench(args: argparse.Namespace) -> int:
     pairs = []
     with open(args.pairs, "rb") as stream:
-        data = stream.read().decode("utf-8")
-    for lineno, line in enumerate(data.splitlines(), start=1):
-        if not line.strip():
-            continue
-        try:
-            row = json.loads(line)
-            word = row["word"]
-            dictionary = row["dictionary"]
-        except (json.JSONDecodeError, KeyError, TypeError):
-            raise ParseError("expected {\"word\": ..., \"dictionary\": [...]}", lineno, args.pairs) from None
-        if not isinstance(word, str) or not isinstance(dictionary, list) or not dictionary:
-            raise ParseError("expected a word and a non-empty dictionary list", lineno, args.pairs)
-        pairs.append((word, [str(c) for c in dictionary]))
+        for lineno, raw in enumerate(stream, start=1):
+            try:
+                row = decode_json_object(raw)
+            except ParseError as exc:
+                raise ParseError(exc.message, lineno, args.pairs) from None
+            if row is None:
+                continue
+            try:
+                word = row["word"]
+                dictionary = row["dictionary"]
+            except KeyError:
+                raise ParseError("expected {\"word\": ..., \"dictionary\": [...]}", lineno, args.pairs) from None
+            if not isinstance(word, str) or not isinstance(dictionary, list) or not dictionary:
+                raise ParseError("expected a word and a non-empty dictionary list", lineno, args.pairs)
+            pairs.append((word, [str(c) for c in dictionary]))
     sys.stdout.write(bench_compare(pairs, threshold=args.threshold))
     return 0
 

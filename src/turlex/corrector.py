@@ -3,15 +3,16 @@
 The central problem: social media text is typed with ascii keyboards, so
 the six letter pairs (c, ç), (g, ğ), (i, ı), (o, ö), (s, ş), (u, ü) blur
 together, letters get stretched for emphasis and greetings shrink to
-abbreviations. ``correct_word`` runs the repair stages from cheap and
-certain to fuzzy:
+abbreviations. ``correct_word`` runs one loop over a table of repair
+stages, from cheap and certain to fuzzy:
 
-1. the word is already in the dictionary
-2. abbreviation table hit
-3. stretched-letter collapse, then the same cascade on the collapsed form
-4. diacritic toggling against the dictionary
-5. gestalt similarity fallback above a threshold
-6. give up, return the word unchanged
+1. exact: the word is already in the dictionary
+2. abbreviation: abbreviation table hit
+3. diacritic: toggling letter pairs reaches a dictionary word
+4. fuzzy: gestalt similarity above a threshold
+
+When stages 1 and 2 miss on a stretched word, the loop restarts on its
+collapsed form. A word no stage resolves comes back unchanged.
 """
 
 from __future__ import annotations
@@ -181,112 +182,94 @@ def diacritic_correct(
     if n > max_positions:
         raise CandidateExplosionError(word, n, max_positions)
 
-    hits: list[tuple[int, int, str]] = []  # (-frequency, toggles, candidate)
-    length = len(word)
-
-    def walk(node: dict, pos: int, toggles: int, prefix: list[str]) -> None:
-        if pos == length:
-            freq = node.get("")
-            if freq is not None:
-                hits.append((-freq, toggles, "".join(prefix)))
-            return
-        ch = word[pos]
-        child = node.get(ch)
-        if child is not None:
-            prefix.append(ch)
-            walk(child, pos + 1, toggles, prefix)
-            prefix.pop()
+    # One level per letter of word: the trie nodes that spell a toggle
+    # variant of the letters so far, with its toggle count and the variant.
+    # An unpaired letter has partner None, which no node holds.
+    frontier = [(dictionary.trie(), 0, "")]
+    for ch in word:
         partner = ambiguity.partner(ch)
-        if partner is not None:
-            child = node.get(partner)
-            if child is not None:
-                prefix.append(partner)
-                walk(child, pos + 1, toggles + 1, prefix)
-                prefix.pop()
+        deeper = []
+        for node, toggles, prefix in frontier:
+            if ch in node:
+                deeper.append((node[ch], toggles, prefix + ch))
+            if partner in node:
+                deeper.append((node[partner], toggles + 1, prefix + partner))
+        frontier = deeper
+    # The empty-string key holds the frequency at nodes that end a word.
+    hits = [(-node[""], toggles, prefix) for node, toggles, prefix in frontier if "" in node]
+    return min(hits)[2] if hits else None
 
-    walk(dictionary.trie(), 0, 0, [])
-    if not hits:
-        return None
-    return min(hits)[2]
+
+_Hit = tuple[str, float] | None
+
+
+def _exact(word: str, resources: LexiconResources, config: CorrectorConfig) -> _Hit:
+    return (word, 1.0) if word in resources.dictionary else None
+
+
+def _abbreviation(word: str, resources: LexiconResources, config: CorrectorConfig) -> _Hit:
+    expansion = resources.abbreviations.get(word)
+    return None if expansion is None else (expansion, 1.0)
+
+
+def _diacritic(word: str, resources: LexiconResources, config: CorrectorConfig) -> _Hit:
+    toggled = diacritic_correct(word, resources.dictionary, max_positions=config.max_toggle_positions)
+    return None if toggled is None else (toggled, 1.0)
+
+
+def _fuzzy(word: str, resources: LexiconResources, config: CorrectorConfig) -> _Hit:
+    matches = best_matches(word, resources.dictionary, "gestalt", config.fuzzy_threshold)
+    return (matches[0].candidate, matches[0].score) if matches else None
+
+
+#: The cascade in order. A stage returns (corrected, confidence), or None
+#: to pass the word on. The stages and the loop reach diacritic_correct,
+#: best_matches and collapse_repeats through this module's globals at call
+#: time, so a wrapper swapped in for one of them is the one called.
+_STAGES = (
+    (Method.EXACT, _exact),
+    (Method.ABBREVIATION, _abbreviation),
+    (Method.DIACRITIC, _diacritic),
+    (Method.FUZZY_FALLBACK, _fuzzy),
+)
+
+#: A stretched word is collapsed after the certain lookups missed on the
+#: word as typed, and before the stages that guess.
+_COLLAPSE_AT = 2
 
 
 def correct_word(
     word: str,
     resources: LexiconResources,
     config: CorrectorConfig = DEFAULT_CONFIG,
-    ambiguity: AmbiguityMap = DEFAULT_AMBIGUITY_MAP,
 ) -> CorrectionResult:
     """Run the correction cascade on a single cleaned lowercase word.
 
-    A stretched word re-enters the cascade in its collapsed form and, when
+    A stretched word restarts the cascade in its collapsed form and, when
     any stage resolves that form, reports method ``repeat_collapse`` with
-    the resolving stage appended to the trace. A word nothing can resolve
-    comes back unchanged with confidence 0.0.
+    the resolving stage appended to the trace. No stage after the collapse
+    runs on the word as typed. A word nothing can resolve comes back
+    unchanged with confidence 0.0.
     """
     trace: list[str] = []
-
-    early = _early_stages(word, resources, trace)
-    if early is not None:
-        corrected, method, confidence = early
-        return CorrectionResult(word, corrected, method, confidence, tuple(trace))
-
-    collapsed = collapse_repeats(word, resources.dictionary)
-    if collapsed != word:
-        trace.append(Method.REPEAT_COLLAPSE.value)
-        resolved = _early_stages(collapsed, resources, trace) or _late_stages(
-            collapsed, resources, config, ambiguity, trace
-        )
-        if resolved is not None:
-            corrected, _, confidence = resolved
-            return CorrectionResult(word, corrected, Method.REPEAT_COLLAPSE, confidence, tuple(trace))
-        return CorrectionResult(word, word, Method.UNCHANGED, 0.0, tuple(trace))
-
-    late = _late_stages(word, resources, config, ambiguity, trace)
-    if late is not None:
-        corrected, method, confidence = late
-        return CorrectionResult(word, corrected, method, confidence, tuple(trace))
-
+    form, i = word, 0
+    while i < len(_STAGES):
+        if i == _COLLAPSE_AT and form == word:
+            collapsed = collapse_repeats(word, resources.dictionary)
+            if collapsed != word:
+                trace.append(Method.REPEAT_COLLAPSE.value)
+                form, i = collapsed, 0
+                continue
+        method, stage = _STAGES[i]
+        i += 1
+        try:
+            hit = stage(form, resources, config)
+        except CandidateExplosionError:
+            trace.append("toggle_overflow")
+            continue
+        if hit is not None:
+            trace.append(method.value)
+            if form != word:
+                method = Method.REPEAT_COLLAPSE
+            return CorrectionResult(word, hit[0], method, hit[1], tuple(trace))
     return CorrectionResult(word, word, Method.UNCHANGED, 0.0, tuple(trace))
-
-
-def _early_stages(
-    word: str,
-    resources: LexiconResources,
-    trace: list[str],
-) -> tuple[str, Method, float] | None:
-    """Cascade stages 1 and 2: exact dictionary hit, abbreviation."""
-    if word in resources.dictionary:
-        trace.append(Method.EXACT.value)
-        return word, Method.EXACT, 1.0
-
-    expansion = resources.abbreviations.get(word)
-    if expansion is not None:
-        trace.append(Method.ABBREVIATION.value)
-        return expansion, Method.ABBREVIATION, 1.0
-
-    return None
-
-
-def _late_stages(
-    word: str,
-    resources: LexiconResources,
-    config: CorrectorConfig,
-    ambiguity: AmbiguityMap,
-    trace: list[str],
-) -> tuple[str, Method, float] | None:
-    """Cascade stages 4 and 5: diacritic toggling, fuzzy fallback."""
-    try:
-        toggled = diacritic_correct(word, resources.dictionary, ambiguity, config.max_toggle_positions)
-    except CandidateExplosionError:
-        trace.append("toggle_overflow")
-        toggled = None
-    if toggled is not None:
-        trace.append(Method.DIACRITIC.value)
-        return toggled, Method.DIACRITIC, 1.0
-
-    matches = best_matches(word, resources.dictionary, "gestalt", config.fuzzy_threshold)
-    if matches:
-        trace.append(Method.FUZZY_FALLBACK.value)
-        return matches[0].candidate, Method.FUZZY_FALLBACK, matches[0].score
-
-    return None

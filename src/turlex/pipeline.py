@@ -20,8 +20,7 @@ from pathlib import Path
 from typing import BinaryIO, Iterable, Sequence
 
 from .corrector import (
-    DEFAULT_AMBIGUITY_MAP,
-    AmbiguityMap,
+    DEFAULT_CONFIG,
     CorrectionResult,
     CorrectorConfig,
     Method,
@@ -29,7 +28,7 @@ from .corrector import (
 )
 from .errors import ParseError
 from .ngrams import NgramTable, extract_ngrams, verify_partition
-from .resources import Dictionary, LexiconResources
+from .resources import Dictionary, LexiconResources, SuffixStemmer
 from .similarity import best_matches
 from .tokenizer import RawReview, remove_stopwords, tokenize
 
@@ -146,8 +145,13 @@ def ingest_jsonl(
     return reviews, skipped
 
 
-def _parse_review(raw: bytes, classes: frozenset[int]) -> RawReview | None:
-    """The review on one input line, or None for a blank line."""
+def decode_json_object(raw: bytes) -> dict | None:
+    """The JSON object on one input line, or None for a blank line.
+
+    Bytes that are not UTF-8, any failure of json.loads (nesting too deep,
+    an integer beyond the digit limit) and a value that is not an object
+    raise ParseError without a line number; the caller knows it.
+    """
     try:
         line = raw.decode("utf-8")
     except UnicodeDecodeError as exc:
@@ -159,10 +163,17 @@ def _parse_review(raw: bytes, classes: frozenset[int]) -> RawReview | None:
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc.msg}")
     except (ValueError, RecursionError) as exc:
-        # Nesting too deep to decode, or an integer beyond the digit limit.
         raise ParseError(f"invalid JSON: {exc}")
     if not isinstance(obj, dict):
         raise ParseError(f"expected a JSON object, got {type(obj).__name__}")
+    return obj
+
+
+def _parse_review(raw: bytes, classes: frozenset[int]) -> RawReview | None:
+    """The review on one input line, or None for a blank line."""
+    obj = decode_json_object(raw)
+    if obj is None:
+        return None
     text = obj.get("text")
     rating = obj.get("rating")
     if not isinstance(text, str) or not text.strip():
@@ -298,8 +309,7 @@ def _write_rows(out_dir: Path, name: str, rows, with_count: bool) -> str:
 def correct_text(
     line: str,
     resources: LexiconResources,
-    config: CorrectorConfig | None = None,
-    ambiguity: AmbiguityMap = DEFAULT_AMBIGUITY_MAP,
+    config: CorrectorConfig = DEFAULT_CONFIG,
 ) -> tuple[str, list[CorrectionResult]]:
     """Correct one line token by token, preserving order.
 
@@ -308,8 +318,6 @@ def correct_text(
     through as known words; this is the spot-check path, not the lexicon
     build, which drops them instead.
     """
-    if config is None:
-        config = CorrectorConfig()
     results = []
     for token in tokenize(line):
         if token.surface in resources.stopwords:
@@ -323,7 +331,7 @@ def correct_text(
                 )
             )
         else:
-            results.append(correct_word(token.surface, resources, config, ambiguity))
+            results.append(correct_word(token.surface, resources, config))
     corrected = " ".join(result.corrected for result in results)
     return corrected, results
 
@@ -331,8 +339,7 @@ def correct_text(
 def bench_compare(
     word_pairs: Iterable[tuple[str, Sequence[str]]],
     threshold: float = 0.6,
-    corrector: CorrectorConfig | None = None,
-    ambiguity: AmbiguityMap = DEFAULT_AMBIGUITY_MAP,
+    corrector: CorrectorConfig = DEFAULT_CONFIG,
 ) -> str:
     """Compare plain similarity ranking against the correction cascade.
 
@@ -341,8 +348,6 @@ def bench_compare(
     similarity at the threshold, and the correction cascade's answer. The
     threshold does not affect the cascade, which uses its own config.
     """
-    if corrector is None:
-        corrector = CorrectorConfig()
     lines: list[str] = []
     for word, candidates in word_pairs:
         candidate_list = list(candidates)
@@ -355,7 +360,7 @@ def bench_compare(
             dictionary=dictionary,
             stopwords=frozenset(),
             abbreviations={},
-            stemmer=_IdentityStemmer(),
+            stemmer=SuffixStemmer(()),
         )
         lines.append(f"== {word}")
         for metric in ("levenshtein", "gestalt"):
@@ -368,7 +373,7 @@ def bench_compare(
                 ]
             else:
                 lines.append("    (no candidate at threshold)")
-        result = correct_word(word, resources, corrector, ambiguity)
+        result = correct_word(word, resources, corrector)
         lines.append("  correction cascade")
         lines.append(
             f"    {result.corrected}  {round_score(result.confidence):.2f}  {result.method.value}"
@@ -379,8 +384,3 @@ def bench_compare(
         "sometimes quoted for such pairs are not derivable from this formula."
     )
     return "\n".join(lines) + "\n"
-
-
-class _IdentityStemmer:
-    def stem(self, word: str) -> str:
-        return word

@@ -85,13 +85,24 @@ class Dictionary:
 
 
 def _read_lines(source: BinaryIO, name: str | None) -> list[str]:
-    """The lines of a UTF-8 resource; undecodable bytes raise ParseError."""
+    """The lines of a UTF-8 resource, each ended by "\\n" or "\\r\\n".
+
+    Undecodable bytes, and any other line break left inside a line (such
+    as U+0085 or U+2028), raise ParseError with the line number.
+    """
     data = source.read()
     try:
-        return data.decode("utf-8").splitlines()
+        text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
         line = data.count(b"\n", 0, exc.start) + 1
         raise ParseError(f"not valid UTF-8: {exc.reason}", line, name) from None
+    lines = []
+    for lineno, line in enumerate(text.split("\n"), start=1):
+        line = line.removesuffix("\r")
+        if line and line.splitlines() != [line]:
+            raise ParseError(f"line break inside a line: {line!r}", lineno, name)
+        lines.append(line)
+    return lines
 
 
 def load_dictionary(source: BinaryIO, name: str | None = None) -> Dictionary:

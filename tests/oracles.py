@@ -109,3 +109,96 @@ def slow_best_matches(
     hits = [c for c in dictionary if scores[c] >= threshold]
     hits.sort(key=lambda c: (-scores[c], slow_levenshtein(word, c), c))
     return [(c, scores[c]) for c in hits]
+
+
+def slow_collapse(word: str, known: dict[str, int]) -> str:
+    """Try every way of keeping one or two copies of each repeated run.
+
+    Among the forms in ``known`` the one with the fewest characters removed
+    wins, then code point order; without a hit every run keeps one copy.
+    Above 8 runs of length two or more nothing is tried, as in the
+    production rule that keeps the 2**runs forms bounded.
+    """
+    runs: list[tuple[str, int]] = []
+    i = 0
+    while i < len(word):
+        j = i
+        while j < len(word) and word[j] == word[i]:
+            j += 1
+        runs.append((word[i], j - i))
+        i = j
+    single = "".join(ch for ch, _ in runs)
+    if all(length == 1 for _, length in runs):
+        return word
+    if sum(1 for _, length in runs if length >= 2) > 8:
+        return single
+
+    def forms(rest: list[tuple[str, int]]) -> list[tuple[str, int]]:
+        """(form, characters removed) for every choice over ``rest``."""
+        if not rest:
+            return [("", 0)]
+        (ch, length), tail = rest[0], rest[1:]
+        keeps = (1, 2) if length >= 2 else (1,)
+        return [
+            (ch * keep + form, length - keep + removed)
+            for keep in keeps
+            for form, removed in forms(tail)
+        ]
+
+    hits = sorted((removed, form) for form, removed in forms(runs) if form in known)
+    return hits[0][1] if hits else single
+
+
+def slow_correct_word(
+    word: str,
+    known: dict[str, int],
+    abbreviations: dict[str, str],
+    pairs: frozenset[tuple[str, str]],
+    threshold: float,
+    max_positions: int,
+) -> tuple[str, str, str, float, tuple[str, ...]]:
+    """The correction cascade from the slow parts, as
+    (original, corrected, method, confidence, trace).
+
+    Exact, then abbreviation. Failing both, a stretched word is collapsed
+    and the whole cascade resolves the collapsed form or gives up with the
+    word unchanged. Otherwise diacritic toggling (skipped with a
+    "toggle_overflow" mark above ``max_positions`` toggleable letters),
+    then the gestalt fallback.
+    """
+    toggleable = {ch for pair in pairs for ch in pair}
+
+    def early(w: str):
+        if w in known:
+            return w, "exact", 1.0
+        if w in abbreviations:
+            return abbreviations[w], "abbreviation", 1.0
+        return None
+
+    def late(w: str, trace: list[str]):
+        if sum(1 for ch in w if ch in toggleable) > max_positions:
+            trace.append("toggle_overflow")
+        else:
+            pick = slow_diacritic_pick(w, pairs, known)
+            if pick is not None:
+                return pick, "diacritic", 1.0
+        matches = slow_best_matches(w, list(known), "gestalt", threshold)
+        if matches:
+            return matches[0][0], "fuzzy_fallback", matches[0][1]
+        return None
+
+    trace: list[str] = []
+    hit = early(word)
+    if hit is not None:
+        return word, hit[0], hit[1], hit[2], (hit[1],)
+    collapsed = slow_collapse(word, known)
+    if collapsed != word:
+        trace.append("repeat_collapse")
+        hit = early(collapsed) or late(collapsed, trace)
+        if hit is None:
+            return word, word, "unchanged", 0.0, tuple(trace)
+        return word, hit[0], "repeat_collapse", hit[2], tuple(trace + [hit[1]])
+    hit = late(word, trace)
+    if hit is None:
+        return word, word, "unchanged", 0.0, tuple(trace)
+    return word, hit[0], hit[1], hit[2], tuple(trace + [hit[1]])

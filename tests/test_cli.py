@@ -227,6 +227,13 @@ class TestBenchCommand:
         assert "error:" in captured.err
         assert "line 1" in captured.err
 
+    @pytest.mark.parametrize("row", ["null", '["cok", ["çok"]]'])
+    def test_row_that_is_not_an_object(self, tmp_path, capsys, row):
+        path = tmp_path / "pairs.jsonl"
+        path.write_text('{"word": "cok", "dictionary": ["çok"]}\n' + row + "\n", encoding="utf-8")
+        assert main(["bench", "--pairs", str(path)]) == 1
+        assert f"error: {path}:line 2: expected a JSON object" in capsys.readouterr().err
+
     def test_empty_dictionary_field(self, tmp_path, capsys):
         pairs = self.write_pairs(tmp_path / "pairs.jsonl", [{"word": "cok", "dictionary": []}])
         code = main(["bench", "--pairs", pairs])

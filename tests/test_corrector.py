@@ -15,14 +15,36 @@ from turlex import (
     diacritic_correct,
     generate_candidates,
 )
+import turlex.corrector
 from turlex.corrector import DEFAULT_TOGGLE_PAIRS
 
-from .oracles import slow_candidates, slow_diacritic_pick
+from .oracles import slow_candidates, slow_correct_word, slow_diacritic_pick
 
 PAIRS = frozenset(DEFAULT_TOGGLE_PAIRS)
 
 # toggleable letters on both sides plus a few neutral consonants
 mixed_word = st.text(alphabet="cçgğiıoösşuükmrt", min_size=1, max_size=8)
+
+# Words of up to 8 letters built run by run, so doubled letters are common,
+# over few letters, so random words share toggles and substrings.
+cascade_word = (
+    st.lists(st.tuples(st.sampled_from("cçiıoökl"), st.integers(1, 2)), min_size=1, max_size=5)
+    .map(lambda runs: "".join(ch * n for ch, n in runs))
+    .filter(lambda w: len(w) <= 8)
+)
+
+
+def noisy(words: list[str]) -> st.SearchStrategy[str]:
+    """One of words with letters toggled and, half the time, stretched."""
+    partner = dict(PAIRS) | {b: a for a, b in PAIRS}
+
+    def variants(ch: str, stretch: bool) -> list[str]:
+        toggled = [partner[ch]] if ch in partner else []
+        return [ch] + toggled + ([ch * 2, ch * 3] if stretch else [])
+
+    return st.tuples(st.sampled_from(words), st.booleans()).flatmap(
+        lambda ws: st.tuples(*(st.sampled_from(variants(ch, ws[1])) for ch in ws[0])).map("".join)
+    )
 
 
 class TestAmbiguityMap:
@@ -204,6 +226,23 @@ class TestCorrectWord:
         assert r.confidence == 0.0
         assert r.trace == ("repeat_collapse",)
 
+    def test_unresolved_collapse_skips_late_stages_on_the_word(self, bundled, monkeypatch):
+        # "tesekurler" matches nothing; "tesekkurler" itself would reach
+        # "teşekkürler" by toggling, but only the collapsed form is tried.
+        seen = []
+        real = turlex.corrector.best_matches
+
+        def spy(word, *rest):
+            seen.append(word)
+            return real(word, *rest)
+
+        monkeypatch.setattr(turlex.corrector, "best_matches", spy)
+        r = correct_word("tesekkurler", bundled)
+        assert r == CorrectionResult(
+            "tesekkurler", "tesekkurler", Method.UNCHANGED, 0.0, ("repeat_collapse",)
+        )
+        assert seen == ["tesekurler"]
+
     def test_stretching_beats_fuzzy(self, tiny_resources):
         # "filmm" must resolve by collapsing, not by fuzzy similarity
         r = correct_word("filmm", tiny_resources)
@@ -255,6 +294,27 @@ class TestCorrectWord:
             assert r.confidence == 0.0
         if r.method is Method.EXACT:
             assert r.corrected == word
+
+    @given(
+        st.dictionaries(cascade_word, st.integers(min_value=1, max_value=50), max_size=10),
+        st.data(),
+    )
+    @settings(max_examples=300, deadline=2000)
+    def test_matches_slow_cascade(self, entries, data):
+        abbreviations = data.draw(
+            st.dictionaries(cascade_word, st.sampled_from(sorted(entries) or ["x"]), max_size=2)
+        )
+        word = data.draw(cascade_word | noisy(sorted(entries) or ["x"]))
+        config = CorrectorConfig(
+            fuzzy_threshold=data.draw(st.sampled_from([0.5, 0.8])),
+            max_toggle_positions=data.draw(st.sampled_from([1, 3, 16])),
+        )
+        resources = LexiconResources(freq_dict(entries), frozenset(), abbreviations, _Identity())
+        r = correct_word(word, resources, config)
+        expected = slow_correct_word(
+            word, entries, abbreviations, PAIRS, config.fuzzy_threshold, config.max_toggle_positions
+        )
+        assert (r.original, r.corrected, r.method.value, r.confidence, r.trace) == expected
 
 
 class TestCorrectorConfig:

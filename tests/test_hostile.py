@@ -60,6 +60,12 @@ class TestBadReviewLines:
         assert main(args + ["--skip-bad-lines"]) == 0
         assert "reviews ingested: 1 (skipped 1)" in capsys.readouterr().out
 
+    def test_cli_bench_reports_it(self, tmp_path, capsys, bad, reason):
+        pairs = tmp_path / "pairs.jsonl"
+        pairs.write_bytes(lines('{"word": "cok", "dictionary": ["çok"]}', bad).getvalue())
+        assert main(["bench", "--pairs", str(pairs)]) == 1
+        assert f"error: {pairs}:line 2: {reason}" in capsys.readouterr().err
+
 
 @pytest.mark.parametrize("separator", ["\u2028", "\u2029", "\x85"], ids=ascii)
 def test_unicode_line_separators_inside_a_text_stay_in_it(separator):
@@ -86,6 +92,25 @@ def test_undecodable_resource_names_file_and_line(loader):
     assert str(err.value).startswith("resource.txt:line 2: not valid UTF-8")
 
 
+@pytest.mark.parametrize("separator", ["\u2028", "\x85"], ids=ascii)
+@pytest.mark.parametrize(
+    "loader", [load_dictionary, load_stopwords, load_abbreviations, load_suffixes]
+)
+def test_resource_line_break_inside_a_line_names_file_and_line(loader, separator):
+    source = io.BytesIO(f"iyi\t5\nçok{separator}güzel\t5\n".encode("utf-8"))
+    with pytest.raises(ParseError) as err:
+        loader(source, name="resource.txt")
+    assert str(err.value).startswith("resource.txt:line 2: line break inside a line")
+
+
+def test_crlf_dictionary_loads_like_lf():
+    lf = "çok\t900\ngüzel\t700\n\nfilm\n"
+    crlf = lf.replace("\n", "\r\n")
+    assert load_dictionary(io.BytesIO(crlf.encode("utf-8"))) == load_dictionary(
+        io.BytesIO(lf.encode("utf-8"))
+    )
+
+
 def test_undecodable_resource_path_is_named(tmp_path):
     stopwords = tmp_path / "stop.txt"
     stopwords.write_bytes(b"ve\n\xff\n")
@@ -102,3 +127,13 @@ def test_long_token_is_bounded_in_time(bundled):
     result = correct_word(token, bundled)
     assert time.perf_counter() - start < 0.25
     assert result.method is Method.UNCHANGED
+
+
+def test_long_dictionary_entry_is_reached_by_toggling(tmp_path, capsys, monkeypatch):
+    # One trie level per letter: a search that recursed per level would
+    # exceed the interpreter's recursion limit here.
+    dictionary = tmp_path / "dict.tsv"
+    dictionary.write_text("ab" * 1000 + "i\t5\n", encoding="utf-8")
+    monkeypatch.setattr("sys.stdin", io.StringIO("ab" * 1000 + "ı\n"))
+    assert main(["correct", "--dict", str(dictionary)]) == 0
+    assert capsys.readouterr().out == "ab" * 1000 + "i\n"

@@ -88,6 +88,7 @@ class TestIngest:
         [
             ("{not json", "invalid JSON"),
             ('["text", "rating"]', "expected a JSON object"),
+            ("null", "expected a JSON object"),
             ('{"rating": 3}', "'text' must be a non-empty string"),
             ('{"text": "", "rating": 3}', "'text' must be a non-empty string"),
             ('{"text": "   ", "rating": 3}', "'text' must be a non-empty string"),

@@ -12,6 +12,8 @@ from turlex import (
     turkish_lowercase,
 )
 
+from .oracles import slow_collapse
+
 TR_LOWER = "abcçdefgğhıijklmnoöprsştuüvyz"
 TR_UPPER = "ABCÇDEFGĞHIİJKLMNOÖPRSŞTUÜVYZ"
 
@@ -137,6 +139,21 @@ class TestCollapseRepeats:
     def test_idempotent_without_dictionary(self, word):
         once = collapse_repeats(word, dict_of())
         assert collapse_repeats(once, dict_of()) == once
+
+    @given(st.lists(st.text(alphabet="abç", min_size=1, max_size=8), max_size=12), st.data())
+    def test_matches_full_enumeration(self, words, data):
+        # Queries are random or a stretched dictionary word; up to 24
+        # letters, so some of them exceed the cap of 8 runs.
+        word = data.draw(
+            st.text(alphabet="abç", min_size=1, max_size=24)
+            | st.sampled_from(words or ["ab"]).flatmap(
+                lambda w: st.tuples(*(st.integers(1, 3) for _ in w)).map(
+                    lambda times: "".join(ch * n for ch, n in zip(w, times))
+                )
+            )
+        )
+        known = dict.fromkeys(words, 1)
+        assert collapse_repeats(word, dict_of(*words)) == slow_collapse(word, known)
 
 
 class TestRemoveStopwords:
