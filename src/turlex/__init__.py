@@ -6,9 +6,7 @@ term tables from rated review corpora.
 """
 
 from .corrector import (
-    DEFAULT_AMBIGUITY_MAP,
     DEFAULT_TOGGLE_PAIRS,
-    AmbiguityMap,
     CorrectionResult,
     CorrectorConfig,
     Method,
@@ -60,11 +58,9 @@ from .tokenizer import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AmbiguityMap",
     "CandidateExplosionError",
     "CorrectionResult",
     "CorrectorConfig",
-    "DEFAULT_AMBIGUITY_MAP",
     "DEFAULT_TOGGLE_PAIRS",
     "Dictionary",
     "JobConfig",

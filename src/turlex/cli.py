@@ -5,9 +5,10 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .corrector import CorrectorConfig
+from .corrector import DEFAULT_CONFIG, CorrectorConfig
 from .errors import ParseError, TurlexError
 from .pipeline import (
+    DEFAULT_CLASSES,
     JobConfig,
     bench_compare,
     correct_text,
@@ -50,7 +51,7 @@ def _add_resource_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--stopwords", metavar="FILE", help="stopword list, one per line; bundled list by default")
     parser.add_argument("--abbrev", metavar="FILE", help="abbreviation table (short<TAB>expansion); bundled table by default")
     parser.add_argument("--suffixes", metavar="FILE", help="suffix inventory for stemming, one per line; bundled list by default")
-    parser.add_argument("--fuzzy-threshold", type=float, default=0.8, metavar="T", help="minimum gestalt score for the fuzzy fallback (default 0.8)")
+    parser.add_argument("--fuzzy-threshold", type=float, default=DEFAULT_CONFIG.fuzzy_threshold, metavar="T", help="minimum gestalt score for the fuzzy fallback (default %(default)s)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -64,7 +65,7 @@ def build_parser() -> argparse.ArgumentParser:
     build.add_argument("--input", action="append", required=True, metavar="FILE", help="JSONL reviews file; repeat for several inputs")
     build.add_argument("--out", required=True, metavar="DIR", help="output directory for the TSV files")
     build.add_argument("--grams", type=_parse_grams, default=(1, 2, 3), metavar="N,N", help="gram sizes to build (default 1,2,3)")
-    build.add_argument("--classes", type=lambda t: _parse_int_set(t, "--classes"), default=frozenset(range(6)), metavar="RANGE", help="accepted rating classes, e.g. 0-5 or 1,3,5 (default 0-5)")
+    build.add_argument("--classes", type=lambda t: _parse_int_set(t, "--classes"), default=DEFAULT_CLASSES, metavar="RANGE", help="accepted rating classes, e.g. 0-5 or 1,3,5 (default 0-5)")
     build.add_argument("--workers", type=int, default=1, metavar="N", help="accepted for compatibility and has no effect; the build runs serially (default 1)")
     build.add_argument("--min-count", type=int, default=1, metavar="K", help="drop n-grams seen fewer than K times (default 1)")
     build.add_argument("--skip-bad-lines", action="store_true", help="count malformed input lines instead of failing")
@@ -102,13 +103,9 @@ def _cmd_build(args: argparse.Namespace) -> int:
         workers=args.workers,
         min_count=args.min_count,
         corrector=CorrectorConfig(fuzzy_threshold=args.fuzzy_threshold),
-        dictionary_path=args.dictionary,
-        stopwords_path=args.stopwords,
-        abbreviations_path=args.abbrev,
-        suffixes_path=args.suffixes,
         skip_bad_lines=args.skip_bad_lines,
     )
-    report = run_pipeline(config)
+    report = run_pipeline(config, _load_resources(args))
     print(report.summary())
     return 0
 
@@ -116,8 +113,14 @@ def _cmd_build(args: argparse.Namespace) -> int:
 def _cmd_correct(args: argparse.Namespace) -> int:
     resources = _load_resources(args)
     config = CorrectorConfig(fuzzy_threshold=args.fuzzy_threshold)
-    for line in sys.stdin:
-        corrected, results = correct_text(line.rstrip("\n"), resources, config)
+    # Lines end at b"\n" only and are decoded one by one, so a bad line is
+    # reported after every line before it has been answered.
+    for lineno, raw in enumerate(sys.stdin.buffer, start=1):
+        try:
+            line = raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"not valid UTF-8: {exc.reason}", lineno, "<stdin>") from None
+        corrected, results = correct_text(line.removesuffix("\n").removesuffix("\r"), resources, config)
         # Flush per line so a client that waits for each answer never stalls.
         print(corrected, flush=True)
         if args.trace:

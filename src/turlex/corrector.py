@@ -19,8 +19,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable
-
 from .errors import CandidateExplosionError
 from .resources import Dictionary, LexiconResources
 from .similarity import best_matches
@@ -28,7 +26,6 @@ from .tokenizer import collapse_repeats
 
 __all__ = [
     "Method",
-    "AmbiguityMap",
     "DEFAULT_TOGGLE_PAIRS",
     "CorrectorConfig",
     "CorrectionResult",
@@ -50,6 +47,9 @@ DEFAULT_TOGGLE_PAIRS: tuple[tuple[str, str], ...] = (
     ("u", "ü"),
 )
 
+#: Each toggleable letter mapped to the other member of its pair.
+_PARTNER = dict(DEFAULT_TOGGLE_PAIRS) | {b: a for a, b in DEFAULT_TOGGLE_PAIRS}
+
 
 class Method(str, Enum):
     """How a word was resolved."""
@@ -65,37 +65,6 @@ class Method(str, Enum):
         return self.value
 
 
-class AmbiguityMap:
-    """Bidirectional letter pairs the candidate generator may flip.
-
-    Pairs must be disjoint single characters; partner() is an involution.
-    """
-
-    def __init__(self, pairs: Iterable[tuple[str, str]] = DEFAULT_TOGGLE_PAIRS):
-        self._partner: dict[str, str] = {}
-        self._fold: dict[str, str] = {}
-        for a, b in pairs:
-            if len(a) != 1 or len(b) != 1 or a == b:
-                raise ValueError(f"toggle pairs must be two distinct characters, got {(a, b)!r}")
-            if a in self._partner or b in self._partner:
-                raise ValueError(f"toggle pairs must be disjoint, {(a, b)!r} reuses a letter")
-            self._partner[a] = b
-            self._partner[b] = a
-            self._fold[b] = a
-
-    def partner(self, ch: str) -> str | None:
-        """The other member of ch's pair, or None for unpaired characters."""
-        return self._partner.get(ch)
-
-    def is_ambiguous(self, ch: str) -> bool:
-        return ch in self._partner
-
-    def fold(self, word: str) -> str:
-        """Rewrite every second pair member to its first (ç -> c, ü -> u...)."""
-        return "".join(self._fold.get(ch, ch) for ch in word)
-
-
-DEFAULT_AMBIGUITY_MAP = AmbiguityMap()
 
 
 @dataclass(frozen=True)
@@ -131,43 +100,38 @@ class CorrectionResult:
     trace: tuple[str, ...] = ()
 
 
-def count_ambiguous(word: str, ambiguity: AmbiguityMap = DEFAULT_AMBIGUITY_MAP) -> int:
+def count_ambiguous(word: str) -> int:
     """Number of positions holding a toggleable letter."""
-    return sum(1 for ch in word if ambiguity.is_ambiguous(ch))
+    return sum(1 for ch in word if ch in _PARTNER)
 
 
-def candidate_count(word: str, ambiguity: AmbiguityMap = DEFAULT_AMBIGUITY_MAP) -> int:
+def candidate_count(word: str) -> int:
     """Size of the full toggle candidate set: 2 ** count_ambiguous(word).
 
     Computed in closed form, so it is exact even when the set itself is
     far too large to enumerate.
     """
-    return 2 ** count_ambiguous(word, ambiguity)
+    return 2 ** count_ambiguous(word)
 
 
-def generate_candidates(
-    word: str,
-    ambiguity: AmbiguityMap = DEFAULT_AMBIGUITY_MAP,
-    max_positions: int = DEFAULT_CONFIG.max_toggle_positions,
-) -> set[str]:
+def generate_candidates(word: str, max_positions: int = DEFAULT_CONFIG.max_toggle_positions) -> set[str]:
     """Every word reachable by flipping any subset of toggleable positions.
 
     The word itself (the empty subset) is always included. Raises
     CandidateExplosionError when the position count exceeds max_positions.
     """
-    positions = [i for i, ch in enumerate(word) if ambiguity.is_ambiguous(ch)]
+    positions = [i for i, ch in enumerate(word) if ch in _PARTNER]
     if len(positions) > max_positions:
         raise CandidateExplosionError(word, len(positions), max_positions)
     candidates = [word]
     for i in positions:
-        candidates += [c[:i] + ambiguity.partner(c[i]) + c[i + 1 :] for c in candidates]
+        candidates += [c[:i] + _PARTNER[c[i]] + c[i + 1 :] for c in candidates]
     return set(candidates)
 
 
 def diacritic_correct(
     word: str,
     dictionary: Dictionary,
-    ambiguity: AmbiguityMap = DEFAULT_AMBIGUITY_MAP,
     max_positions: int = DEFAULT_CONFIG.max_toggle_positions,
 ) -> str | None:
     """The best dictionary word reachable by toggling letters, or None.
@@ -178,7 +142,7 @@ def diacritic_correct(
     keeps it fast for words with many toggle positions, but the result is
     identical to filtering the full candidate set.
     """
-    n = count_ambiguous(word, ambiguity)
+    n = count_ambiguous(word)
     if n > max_positions:
         raise CandidateExplosionError(word, n, max_positions)
 
@@ -187,7 +151,7 @@ def diacritic_correct(
     # An unpaired letter has partner None, which no node holds.
     frontier = [(dictionary.trie(), 0, "")]
     for ch in word:
-        partner = ambiguity.partner(ch)
+        partner = _PARTNER.get(ch)
         deeper = []
         for node, toggles, prefix in frontier:
             if ch in node:

@@ -61,10 +61,6 @@ class JobConfig:
     workers: int = 1  # validated, but has no effect: the build runs serially
     min_count: int = 1
     corrector: CorrectorConfig = field(default_factory=CorrectorConfig)
-    dictionary_path: str | None = None
-    stopwords_path: str | None = None
-    abbreviations_path: str | None = None
-    suffixes_path: str | None = None
     skip_bad_lines: bool = False
 
     def __post_init__(self) -> None:
@@ -188,20 +184,16 @@ def _parse_review(raw: bytes, classes: frozenset[int]) -> RawReview | None:
 def run_pipeline(config: JobConfig, resources: LexiconResources | None = None) -> PipelineReport:
     """Run the full batch job and write lexicon files into config.out_dir.
 
-    Each input file is one map task whose tables are merged into the run's
-    tables. The emitted bytes are a function of the multiset of reviews, the
-    resources and the config; ``config.workers`` has no effect.
+    Without resources the bundled set is used. Each input file is one map
+    task whose tables are merged into the run's tables. The emitted bytes
+    are a function of the multiset of reviews, the resources and the
+    config; ``config.workers`` has no effect.
     """
     report = PipelineReport()
     phase = report.phase_seconds = dict.fromkeys(("ingest", "map", "merge"), 0.0)
     t0 = time.perf_counter()
     if resources is None:
-        resources = LexiconResources.from_paths(
-            dictionary=config.dictionary_path,
-            stopwords=config.stopwords_path,
-            abbreviations=config.abbreviations_path,
-            suffixes=config.suffixes_path,
-        )
+        resources = LexiconResources.bundled()
 
     tables = {n: NgramTable(n, config.classes) for n in config.gram_sizes}
     # Corrections are pure, so each distinct surface form is corrected and
@@ -339,14 +331,13 @@ def correct_text(
 def bench_compare(
     word_pairs: Iterable[tuple[str, Sequence[str]]],
     threshold: float = 0.6,
-    corrector: CorrectorConfig = DEFAULT_CONFIG,
 ) -> str:
     """Compare plain similarity ranking against the correction cascade.
 
     For every (test word, candidate dictionary) pair three blocks are
     produced: edit-distance similarity at the threshold, gestalt
     similarity at the threshold, and the correction cascade's answer. The
-    threshold does not affect the cascade, which uses its own config.
+    threshold does not affect the cascade, which runs on DEFAULT_CONFIG.
     """
     lines: list[str] = []
     for word, candidates in word_pairs:
@@ -373,7 +364,7 @@ def bench_compare(
                 ]
             else:
                 lines.append("    (no candidate at threshold)")
-        result = correct_word(word, resources, corrector)
+        result = correct_word(word, resources)
         lines.append("  correction cascade")
         lines.append(
             f"    {result.corrected}  {round_score(result.confidence):.2f}  {result.method.value}"

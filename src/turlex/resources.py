@@ -183,28 +183,29 @@ class Stemmer(Protocol):
     def stem(self, word: str) -> str: ...
 
 
+#: The fewest characters a stem keeps after a suffix is stripped.
+MIN_STEM_LEN = 3
+
+
 class SuffixStemmer:
     """Plain longest-suffix stripper over a fixed inventory.
 
     Repeatedly removes the longest inventory suffix whose removal keeps at
-    least ``min_stem_len`` characters, so stacked endings come off one at a
+    least ``MIN_STEM_LEN`` characters, so stacked endings come off one at a
     time ("zamanlarda" -> "zamanlar" -> "zaman"). Ties between equally long
     suffixes follow inventory order. The output never matches another
     strippable suffix, which makes stemming idempotent by construction.
     """
 
-    def __init__(self, suffixes: Sequence[str], min_stem_len: int = 3):
-        if min_stem_len < 1:
-            raise ValueError("min_stem_len must be at least 1")
+    def __init__(self, suffixes: Sequence[str]):
         # Stable sort: longest first, inventory order within a length.
         self._suffixes = sorted((s for s in suffixes if s), key=len, reverse=True)
-        self.min_stem_len = min_stem_len
 
     def stem(self, word: str) -> str:
         current = word
         while True:
             for suffix in self._suffixes:
-                if len(current) - len(suffix) >= self.min_stem_len and current.endswith(suffix):
+                if len(current) - len(suffix) >= MIN_STEM_LEN and current.endswith(suffix):
                     current = current[: -len(suffix)]
                     break
             else:
@@ -227,7 +228,6 @@ class LexiconResources:
         stopwords: str | None = None,
         abbreviations: str | None = None,
         suffixes: str | None = None,
-        min_stem_len: int = 3,
     ) -> "LexiconResources":
         """Load resources from the given paths; None selects the bundled file."""
 
@@ -252,7 +252,7 @@ class LexiconResources:
             dictionary=loaded_dictionary,
             stopwords=loaded_stopwords,
             abbreviations=loaded_abbreviations,
-            stemmer=SuffixStemmer(suffix_list, min_stem_len=min_stem_len),
+            stemmer=SuffixStemmer(suffix_list),
         )
 
     @classmethod

@@ -83,6 +83,11 @@ def resource_flags(paths):
     ]
 
 
+def stdin_bytes(data: bytes) -> io.TextIOWrapper:
+    """A stand-in for sys.stdin whose .buffer yields the given bytes."""
+    return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8")
+
+
 class TestBuildCommand:
     def test_happy_path(self, tmp_path, resource_files, capsys):
         corpus = tmp_path / "reviews.jsonl"
@@ -136,10 +141,33 @@ class TestBuildCommand:
         assert code == 1
         assert "error: workers must be at least 1" in captured.err
 
+    def test_each_resource_flag_is_honoured(self, tmp_path, capsys):
+        # None of these words, suffixes or abbreviations is in the bundled
+        # set, so each line of the expected file needs its own flag.
+        flags = []
+        for flag, name, text in [
+            ("--dict", "dict.tsv", "film\t800\nçörek\t50\nsimit\t40\ngüzelce\t30\n"),
+            ("--stopwords", "stop.txt", "film\n"),
+            ("--abbrev", "abbrev.tsv", "smt\tsimit\n"),
+            ("--suffixes", "suffix.txt", "ce\n"),
+        ]:
+            (tmp_path / name).write_text(text, encoding="utf-8")
+            flags += [flag, str(tmp_path / name)]
+        corpus = tmp_path / "reviews.jsonl"
+        corpus.write_text('{"text": "film corek smt güzelce", "rating": 5}\n', encoding="utf-8")
+        out = tmp_path / "lex"
+        code = main(["build", "--input", str(corpus), "--out", str(out)] + flags)
+        capsys.readouterr()
+        assert code == 0
+        # film: dropped as a stopword; corek: diacritic repair to a --dict
+        # word; smt: expanded; güzelce: stripped of the custom suffix.
+        grams = (out / "grams_n1_class5.tsv").read_text(encoding="utf-8")
+        assert grams == "güzel\t1\nsimit\t1\nçörek\t1\n"
+
 
 class TestCorrectCommand:
     def test_corrects_stdin_lines(self, resource_files, capsys, monkeypatch):
-        monkeypatch.setattr("sys.stdin", io.StringIO("slm bu film çooook guzel\ngelirm\n"))
+        monkeypatch.setattr("sys.stdin", stdin_bytes("slm bu film çooook guzel\ngelirm\n".encode("utf-8")))
         code = main(["correct"] + resource_flags(resource_files))
         captured = capsys.readouterr()
         assert code == 0
@@ -147,12 +175,26 @@ class TestCorrectCommand:
         assert captured.err == ""
 
     def test_trace_goes_to_stderr(self, resource_files, capsys, monkeypatch):
-        monkeypatch.setattr("sys.stdin", io.StringIO("cok\n"))
+        monkeypatch.setattr("sys.stdin", stdin_bytes(b"cok\n"))
         code = main(["correct", "--trace"] + resource_flags(resource_files))
         captured = capsys.readouterr()
         assert code == 0
         assert captured.out == "çok\n"
         assert "cok -> çok  diacritic  1.00" in captured.err
+
+    def test_crlf_line(self, resource_files, capsys, monkeypatch):
+        monkeypatch.setattr("sys.stdin", stdin_bytes(b"cok\r\n"))
+        code = main(["correct"] + resource_flags(resource_files))
+        assert code == 0
+        assert capsys.readouterr().out == "çok\n"
+
+    def test_undecodable_line_is_reported_after_earlier_answers(self, resource_files, capsys, monkeypatch):
+        monkeypatch.setattr("sys.stdin", stdin_bytes(b"cok\ng\xfczel\nguzel\n"))
+        code = main(["correct", "--trace"] + resource_flags(resource_files))
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == "çok\n"
+        assert captured.err.endswith("error: <stdin>:line 2: not valid UTF-8: invalid start byte\n")
 
     def test_answers_each_line_before_stdin_closes(self, resource_files):
         src = str(Path(turlex.__file__).resolve().parents[1])
@@ -180,7 +222,7 @@ class TestCorrectCommand:
             proc.stdout.close()
 
     def test_fuzzy_threshold_flag(self, resource_files, capsys, monkeypatch):
-        monkeypatch.setattr("sys.stdin", io.StringIO("gelirm\n"))
+        monkeypatch.setattr("sys.stdin", stdin_bytes(b"gelirm\n"))
         code = main(
             ["correct", "--fuzzy-threshold", "0.95"] + resource_flags(resource_files)
         )

@@ -2,7 +2,6 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from turlex import (
-    AmbiguityMap,
     CandidateExplosionError,
     CorrectionResult,
     CorrectorConfig,
@@ -49,32 +48,12 @@ def noisy(words: list[str]) -> st.SearchStrategy[str]:
 
 class TestAmbiguityMap:
     def test_partner_is_an_involution(self):
-        amap = AmbiguityMap()
         for a, b in DEFAULT_TOGGLE_PAIRS:
-            assert amap.partner(a) == b
-            assert amap.partner(b) == a
+            assert generate_candidates(a) == generate_candidates(b) == {a, b}
 
     def test_unpaired_characters(self):
-        amap = AmbiguityMap()
-        assert amap.partner("k") is None
-        assert not amap.is_ambiguous("k")
-
-    def test_fold_rewrites_to_first_members(self):
-        amap = AmbiguityMap()
-        assert amap.fold("çok güzel") == "cok guzel"
-        assert amap.fold("kırmızı") == "kirmizi"
-
-    def test_rejects_multi_character_pairs(self):
-        with pytest.raises(ValueError, match="two distinct characters"):
-            AmbiguityMap([("ab", "c")])
-
-    def test_rejects_identical_pair(self):
-        with pytest.raises(ValueError, match="two distinct characters"):
-            AmbiguityMap([("a", "a")])
-
-    def test_rejects_reused_letters(self):
-        with pytest.raises(ValueError, match="disjoint"):
-            AmbiguityMap([("a", "b"), ("b", "c")])
+        assert count_ambiguous("k") == 0
+        assert generate_candidates("k") == {"k"}
 
 
 class TestCandidateGeneration:

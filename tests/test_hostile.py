@@ -21,6 +21,8 @@ from turlex import (
 )
 from turlex.cli import main
 
+from .test_cli import stdin_bytes
+
 GOOD = '{"text": "çok güzel", "rating": 5}'
 UNDECODABLE = b'{"text": "g\xfczel", "rating": 5}'
 DEEP_NESTING = "[" * 100_000
@@ -134,6 +136,6 @@ def test_long_dictionary_entry_is_reached_by_toggling(tmp_path, capsys, monkeypa
     # exceed the interpreter's recursion limit here.
     dictionary = tmp_path / "dict.tsv"
     dictionary.write_text("ab" * 1000 + "i\t5\n", encoding="utf-8")
-    monkeypatch.setattr("sys.stdin", io.StringIO("ab" * 1000 + "ı\n"))
+    monkeypatch.setattr("sys.stdin", stdin_bytes(("ab" * 1000 + "ı\n").encode("utf-8")))
     assert main(["correct", "--dict", str(dictionary)]) == 0
     assert capsys.readouterr().out == "ab" * 1000 + "i\n"

@@ -158,12 +158,8 @@ class TestSuffixStemmer:
         assert stemmer.stem("zamanlarda") == "zaman"
 
     def test_min_stem_len_blocks_short_stems(self):
-        stemmer = SuffixStemmer(["im"], min_stem_len=3)
+        stemmer = SuffixStemmer(["im"])
         assert stemmer.stem("etim") == "etim"  # stem would be 2 chars
-
-    def test_min_stem_len_validation(self):
-        with pytest.raises(ValueError):
-            SuffixStemmer(["ler"], min_stem_len=0)
 
     def test_empty_suffixes_are_dropped(self):
         assert SuffixStemmer(["", "ler"]).stem("evler") == "evler"  # "ev" is too short
