@@ -7,6 +7,7 @@ import sys
 
 from .corrector import DEFAULT_CONFIG, CorrectorConfig
 from .errors import ParseError, TurlexError
+from .ngrams import GRAM_SIZES
 from .pipeline import (
     DEFAULT_CLASSES,
     JobConfig,
@@ -16,7 +17,7 @@ from .pipeline import (
     round_score,
     run_pipeline,
 )
-from .resources import LexiconResources
+from .resources import LexiconResources, decode_line
 
 
 def _parse_int_set(text: str, what: str) -> frozenset[int]:
@@ -41,8 +42,8 @@ def _parse_int_set(text: str, what: str) -> frozenset[int]:
 
 def _parse_grams(text: str) -> tuple[int, ...]:
     sizes = tuple(int(chunk) for chunk in text.split(",") if chunk.strip())
-    if not sizes or any(n not in (1, 2, 3) for n in sizes):
-        raise argparse.ArgumentTypeError(f"gram sizes must be from 1,2,3, got {text!r}")
+    if not sizes or any(n not in GRAM_SIZES for n in sizes):
+        raise argparse.ArgumentTypeError(f"gram sizes must be from {GRAM_SIZES}, got {text!r}")
     return sizes
 
 
@@ -64,7 +65,7 @@ def build_parser() -> argparse.ArgumentParser:
     build = sub.add_parser("build", help="process JSONL reviews into n-gram lexicon files")
     build.add_argument("--input", action="append", required=True, metavar="FILE", help="JSONL reviews file; repeat for several inputs")
     build.add_argument("--out", required=True, metavar="DIR", help="output directory for the TSV files")
-    build.add_argument("--grams", type=_parse_grams, default=(1, 2, 3), metavar="N,N", help="gram sizes to build (default 1,2,3)")
+    build.add_argument("--grams", type=_parse_grams, default=GRAM_SIZES, metavar="N,N", help=f"gram sizes to build (default {','.join(map(str, GRAM_SIZES))})")
     build.add_argument("--classes", type=lambda t: _parse_int_set(t, "--classes"), default=DEFAULT_CLASSES, metavar="RANGE", help="accepted rating classes, e.g. 0-5 or 1,3,5 (default 0-5)")
     build.add_argument("--workers", type=int, default=1, metavar="N", help="accepted for compatibility and has no effect; the build runs serially (default 1)")
     build.add_argument("--min-count", type=int, default=1, metavar="K", help="drop n-grams seen fewer than K times (default 1)")
@@ -117,10 +118,10 @@ def _cmd_correct(args: argparse.Namespace) -> int:
     # reported after every line before it has been answered.
     for lineno, raw in enumerate(sys.stdin.buffer, start=1):
         try:
-            line = raw.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise ParseError(f"not valid UTF-8: {exc.reason}", lineno, "<stdin>") from None
-        corrected, results = correct_text(line.removesuffix("\n").removesuffix("\r"), resources, config)
+            line = decode_line(raw)
+        except ParseError as exc:
+            raise ParseError(exc.message, lineno, "<stdin>") from None
+        corrected, results = correct_text(line, resources, config)
         # Flush per line so a client that waits for each answer never stalls.
         print(corrected, flush=True)
         if args.trace:

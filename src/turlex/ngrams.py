@@ -6,6 +6,7 @@ from collections import Counter
 from typing import Iterable, Sequence
 
 __all__ = [
+    "GRAM_SIZES",
     "NgramKey",
     "extract_ngrams",
     "NgramTable",
@@ -14,7 +15,8 @@ __all__ = [
 
 NgramKey = tuple[str, ...]
 
-_SUPPORTED_SIZES = (1, 2, 3)
+#: The n-gram widths the build supports.
+GRAM_SIZES = (1, 2, 3)
 
 
 def extract_ngrams(terms: Sequence[str], n: int) -> list[NgramKey]:
@@ -24,30 +26,28 @@ def extract_ngrams(terms: Sequence[str], n: int) -> list[NgramKey]:
     review are all this function ever sees. Sequences shorter than n
     produce nothing.
     """
-    if n not in _SUPPORTED_SIZES:
-        raise ValueError(f"gram size must be one of {_SUPPORTED_SIZES}, got {n!r}")
+    if n not in GRAM_SIZES:
+        raise ValueError(f"gram size must be one of {GRAM_SIZES}, got {n!r}")
     return [tuple(terms[i : i + n]) for i in range(len(terms) - n + 1)]
 
 
 class NgramTable:
     """Counts of n-grams partitioned by rating class.
 
-    One table counts a single gram size. Tables merge pointwise, so each
+    One table counts a single gram size under any integer rating; ingest
+    decides which ratings are accepted. Tables merge pointwise, so each
     input file can be counted on its own and combined later; merging is
     commutative and associative with the empty table as identity.
     """
 
-    def __init__(self, n: int, classes: Iterable[int] | None = None):
-        if n not in _SUPPORTED_SIZES:
-            raise ValueError(f"gram size must be one of {_SUPPORTED_SIZES}, got {n!r}")
+    def __init__(self, n: int):
+        if n not in GRAM_SIZES:
+            raise ValueError(f"gram size must be one of {GRAM_SIZES}, got {n!r}")
         self.n = n
-        self.allowed_classes = frozenset(classes) if classes is not None else None
         self.class_tables: dict[int, Counter[NgramKey]] = {}
 
     def accumulate(self, rating: int, keys: Iterable[NgramKey]) -> None:
         """Count keys under a rating class, creating the class on first use."""
-        if self.allowed_classes is not None and rating not in self.allowed_classes:
-            raise ValueError(f"rating {rating} outside the configured classes {sorted(self.allowed_classes)}")
         counter = self.class_tables.setdefault(rating, Counter())
         for key in keys:
             if len(key) != self.n:
@@ -58,10 +58,7 @@ class NgramTable:
         """Pointwise sum of two tables of the same gram size."""
         if self.n != other.n:
             raise ValueError(f"cannot merge a {self.n}-gram table with a {other.n}-gram table")
-        allowed = None
-        if self.allowed_classes is not None and other.allowed_classes is not None:
-            allowed = self.allowed_classes | other.allowed_classes
-        merged = NgramTable(self.n, allowed)
+        merged = NgramTable(self.n)
         for rating in set(self.class_tables) | set(other.class_tables):
             counter: Counter[NgramKey] = Counter()
             counter.update(self.class_tables.get(rating, ()))
@@ -73,7 +70,7 @@ class NgramTable:
         """Copy with every key below min_count dropped; classes survive empty."""
         if min_count <= 1:
             return self
-        out = NgramTable(self.n, self.allowed_classes)
+        out = NgramTable(self.n)
         for rating, counter in self.class_tables.items():
             out.class_tables[rating] = Counter(
                 {key: count for key, count in counter.items() if count >= min_count}

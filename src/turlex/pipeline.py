@@ -27,8 +27,8 @@ from .corrector import (
     correct_word,
 )
 from .errors import ParseError
-from .ngrams import NgramTable, extract_ngrams, verify_partition
-from .resources import Dictionary, LexiconResources, SuffixStemmer
+from .ngrams import GRAM_SIZES, NgramTable, extract_ngrams, verify_partition
+from .resources import Dictionary, LexiconResources, SuffixStemmer, decode_line
 from .similarity import best_matches
 from .tokenizer import RawReview, remove_stopwords, tokenize
 
@@ -56,7 +56,7 @@ class JobConfig:
 
     inputs: tuple[str, ...]
     out_dir: str
-    gram_sizes: tuple[int, ...] = (1, 2, 3)
+    gram_sizes: tuple[int, ...] = GRAM_SIZES
     classes: frozenset[int] = DEFAULT_CLASSES
     workers: int = 1  # validated, but has no effect: the build runs serially
     min_count: int = 1
@@ -66,8 +66,8 @@ class JobConfig:
     def __post_init__(self) -> None:
         if not self.inputs:
             raise ValueError("at least one input path is required")
-        if not self.gram_sizes or any(n not in (1, 2, 3) for n in self.gram_sizes):
-            raise ValueError(f"gram sizes must be a non-empty subset of (1, 2, 3), got {self.gram_sizes!r}")
+        if not self.gram_sizes or any(n not in GRAM_SIZES for n in self.gram_sizes):
+            raise ValueError(f"gram sizes must be a non-empty subset of {GRAM_SIZES}, got {self.gram_sizes!r}")
         if len(set(self.gram_sizes)) != len(self.gram_sizes):
             raise ValueError("duplicate gram sizes")
         if self.workers < 1:
@@ -148,10 +148,7 @@ def decode_json_object(raw: bytes) -> dict | None:
     an integer beyond the digit limit) and a value that is not an object
     raise ParseError without a line number; the caller knows it.
     """
-    try:
-        line = raw.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise ParseError(f"not valid UTF-8: {exc.reason}") from None
+    line = decode_line(raw)
     if not line.strip():
         return None
     try:
@@ -189,16 +186,15 @@ def run_pipeline(config: JobConfig, resources: LexiconResources | None = None) -
     are a function of the multiset of reviews, the resources and the
     config; ``config.workers`` has no effect.
     """
-    report = PipelineReport()
-    phase = report.phase_seconds = dict.fromkeys(("ingest", "map", "merge"), 0.0)
-    t0 = time.perf_counter()
     if resources is None:
         resources = LexiconResources.bundled()
-
-    tables = {n: NgramTable(n, config.classes) for n in config.gram_sizes}
+    report = PipelineReport()
+    phase = report.phase_seconds = dict.fromkeys(("ingest", "map", "merge"), 0.0)
+    tables = {n: NgramTable(n) for n in config.gram_sizes}
     # Corrections are pure, so each distinct surface form is corrected and
     # stemmed once per run: surface -> (method, stems of its corrected pieces).
     resolved: dict[str, tuple[str, list[str]]] = {}
+    t0 = time.perf_counter()
     for path in config.inputs:
         with open(path, "rb") as stream:
             reviews, skipped = ingest_jsonl(stream, config.classes, config.skip_bad_lines, path)
@@ -209,6 +205,8 @@ def run_pipeline(config: JobConfig, resources: LexiconResources | None = None) -
         t2 = time.perf_counter()
         for n in config.gram_sizes:
             tables[n] = tables[n].merge(file_tables[n])
+        # Nothing of a file outlives its merge, so emit holds only the run's tables.
+        del reviews, file_tables
         t3 = time.perf_counter()
         phase["ingest"] += t1 - t0
         phase["map"] += t2 - t1
@@ -228,7 +226,7 @@ def _map(
     report: PipelineReport,
 ) -> dict[int, NgramTable]:
     """Count one input file's n-grams into tables of its own."""
-    tables = {n: NgramTable(n, config.classes) for n in config.gram_sizes}
+    tables = {n: NgramTable(n) for n in config.gram_sizes}
     by_class = report.reviews_by_class
     methods = report.corrections
     for review in reviews:

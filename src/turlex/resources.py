@@ -25,6 +25,7 @@ __all__ = [
     "load_stopwords",
     "load_abbreviations",
     "load_suffixes",
+    "decode_line",
 ]
 
 # Marker key for "a word ends here" in the nested-dict trie. The empty
@@ -84,25 +85,44 @@ class Dictionary:
         return self._trie
 
 
+def decode_line(raw: bytes) -> str:
+    """One b"\\n"-ended line of any input as text, without "\\n" and one "\\r".
+
+    Bytes that are not UTF-8 raise ParseError without a line number; the
+    caller knows it.
+    """
+    try:
+        line = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"not valid UTF-8: {exc.reason}") from None
+    return line.removesuffix("\n").removesuffix("\r")
+
+
 def _read_lines(source: BinaryIO, name: str | None) -> list[str]:
     """The lines of a UTF-8 resource, each ended by "\\n" or "\\r\\n".
 
     Undecodable bytes, and any other line break left inside a line (such
     as U+0085 or U+2028), raise ParseError with the line number.
     """
-    data = source.read()
-    try:
-        text = data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        line = data.count(b"\n", 0, exc.start) + 1
-        raise ParseError(f"not valid UTF-8: {exc.reason}", line, name) from None
     lines = []
-    for lineno, line in enumerate(text.split("\n"), start=1):
-        line = line.removesuffix("\r")
-        if line and line.splitlines() != [line]:
-            raise ParseError(f"line break inside a line: {line!r}", lineno, name)
-        lines.append(line)
+    for lineno, raw in enumerate(source, start=1):
+        try:
+            lines.append(decode_line(raw))
+        except ParseError as exc:
+            raise ParseError(exc.message, lineno, name) from None
+    # One scan over all lines is cheaper than one per line; only a hit is located.
+    joined = "".join(lines)
+    if joined and joined.splitlines() != [joined]:
+        for lineno, line in enumerate(lines, start=1):
+            if line and line.splitlines() != [line]:
+                raise ParseError(f"line break inside a line: {line!r}", lineno, name)
     return lines
+
+
+def _read_entries(source: BinaryIO, name: str | None) -> list[str]:
+    """The lowercased stripped lines, without blank lines and '#' comments."""
+    stripped = (line.strip() for line in _read_lines(source, name))
+    return [turkish_lowercase(line) for line in stripped if line and not line.startswith("#")]
 
 
 def load_dictionary(source: BinaryIO, name: str | None = None) -> Dictionary:
@@ -144,13 +164,7 @@ def dump_dictionary(dictionary: Dictionary, sink: BinaryIO) -> None:
 
 def load_stopwords(source: BinaryIO, name: str | None = None) -> frozenset[str]:
     """One stopword per line; blank lines and '#' comments are ignored."""
-    words = set()
-    for line in _read_lines(source, name):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        words.add(turkish_lowercase(line))
-    return frozenset(words)
+    return frozenset(_read_entries(source, name))
 
 
 def load_abbreviations(source: BinaryIO, name: str | None = None) -> dict[str, str]:
@@ -168,13 +182,7 @@ def load_abbreviations(source: BinaryIO, name: str | None = None) -> dict[str, s
 
 def load_suffixes(source: BinaryIO, name: str | None = None) -> list[str]:
     """One suffix per line in priority order; '#' comment lines are ignored."""
-    suffixes = []
-    for line in _read_lines(source, name):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        suffixes.append(turkish_lowercase(line))
-    return suffixes
+    return _read_entries(source, name)
 
 
 class Stemmer(Protocol):
@@ -231,28 +239,16 @@ class LexiconResources:
     ) -> "LexiconResources":
         """Load resources from the given paths; None selects the bundled file."""
 
-        def opened(path: str | None, bundled_name: str):
-            if path is None:
-                return _bundled(bundled_name).open("rb"), bundled_name
-            return open(path, "rb"), path
+        def load(loader, path: str | None, bundled_name: str):
+            stream = _bundled(bundled_name).open("rb") if path is None else open(path, "rb")
+            with stream:
+                return loader(stream, bundled_name if path is None else path)
 
-        stream, name = opened(dictionary, "dictionary.tsv")
-        with stream:
-            loaded_dictionary = load_dictionary(stream, name)
-        stream, name = opened(stopwords, "stopwords.txt")
-        with stream:
-            loaded_stopwords = load_stopwords(stream, name)
-        stream, name = opened(abbreviations, "abbreviations.tsv")
-        with stream:
-            loaded_abbreviations = load_abbreviations(stream, name)
-        stream, name = opened(suffixes, "suffixes.txt")
-        with stream:
-            suffix_list = load_suffixes(stream, name)
         return cls(
-            dictionary=loaded_dictionary,
-            stopwords=loaded_stopwords,
-            abbreviations=loaded_abbreviations,
-            stemmer=SuffixStemmer(suffix_list),
+            dictionary=load(load_dictionary, dictionary, "dictionary.tsv"),
+            stopwords=load(load_stopwords, stopwords, "stopwords.txt"),
+            abbreviations=load(load_abbreviations, abbreviations, "abbreviations.tsv"),
+            stemmer=SuffixStemmer(load(load_suffixes, suffixes, "suffixes.txt")),
         )
 
     @classmethod

@@ -49,7 +49,8 @@ def turkish_lowercase(text: str) -> str:
     return text.translate(_TR_CASEFIX).lower()
 
 
-@lru_cache(maxsize=None)
+# Bounded, so a line spanning all of Unicode cannot grow it for good.
+@lru_cache(maxsize=4096)
 def _is_noise(ch: str) -> bool:
     cat = unicodedata.category(ch)
     return cat[0] in ("P", "S") or cat == "Nd"

@@ -7,6 +7,12 @@ workers=2 in perfbench's own tests, read the build's phase timings and
 token count, and read each correct_text answer and its methods;
 perfbench/check.py reads token surfaces. A refactor that moves one of
 these names fails here, not only when the benchmark runs.
+
+perfbench/tests/test_perfbench.py, which tier-1 runs too, pins two call
+patterns of a traced build: every traced target is called at least once,
+so the per-file NgramTable.merge into the run's tables stays; and
+NgramTable.exclusive is called exactly twice per exclusive file, once from
+the emit step and once from verify_partition.
 """
 
 import importlib.util

@@ -105,6 +105,17 @@ def test_resource_line_break_inside_a_line_names_file_and_line(loader, separator
     assert str(err.value).startswith("resource.txt:line 2: line break inside a line")
 
 
+@pytest.mark.parametrize(
+    ("text", "line"),
+    [("iyi\nçok\x0c\ngüzel\n", 2), ("iyi\n\ngüzel\x1e", 3), ("\n\riyi\n", 2)],
+    ids=ascii,
+)
+def test_resource_line_break_at_the_end_of_a_line_is_located(text, line):
+    with pytest.raises(ParseError) as err:
+        load_stopwords(io.BytesIO(text.encode("utf-8")), name="resource.txt")
+    assert str(err.value).startswith(f"resource.txt:line {line}: line break inside a line")
+
+
 def test_crlf_dictionary_loads_like_lf():
     lf = "çok\t900\ngüzel\t700\n\nfilm\n"
     crlf = lf.replace("\n", "\r\n")

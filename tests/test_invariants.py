@@ -3,6 +3,8 @@
 A build's bytes depend only on the multiset of reviews, the resources and
 the config: not on review order, and not on how the reviews are split into
 input files, each of which is one map task merged into the run's tables.
+Nor do they depend on the order of the dictionary's lines, or on whether a
+word's frequency is given on one line or summed over several.
 """
 
 import dataclasses
@@ -15,13 +17,21 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from turlex import JobConfig, correct_word, remove_stopwords, run_pipeline, tokenize
+from turlex import (
+    JobConfig,
+    LexiconResources,
+    correct_word,
+    remove_stopwords,
+    run_pipeline,
+    tokenize,
+)
 
 ROWS = [
     line
     for line in (files("turlex.data") / "sample_reviews.jsonl").read_text(encoding="utf-8").splitlines()
     if line.strip()
 ]
+DICTIONARY = (files("turlex.data") / "dictionary.tsv").read_text(encoding="utf-8").splitlines()
 
 
 def build(splits: list[list[str]], resources, work: Path) -> dict[str, bytes]:
@@ -89,3 +99,29 @@ def test_each_distinct_form_is_stemmed_once_per_corrected_piece(bundled, referen
     for surface in surfaces:
         expected.update(correct_word(surface, bundled).corrected.split())
     assert stemmer.calls == expected
+
+
+def build_with_dictionary(lines: list[str], work: Path) -> dict[str, bytes]:
+    """Build the corpus with the bundled resources but these dictionary lines."""
+    path = work / "dictionary.tsv"
+    path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    return build([ROWS], LexiconResources.from_paths(dictionary=str(path)), work)
+
+
+@settings(max_examples=3, deadline=20_000)
+@given(shuffled=st.permutations(DICTIONARY))
+def test_dictionary_line_order_does_not_change_the_bytes(reference, shuffled):
+    with tempfile.TemporaryDirectory() as work:
+        assert build_with_dictionary(shuffled, Path(work)) == reference
+
+
+@settings(max_examples=3, deadline=20_000)
+@given(rng=st.randoms(use_true_random=False))
+def test_splitting_each_dictionary_entry_in_two_does_not_change_the_bytes(reference, rng):
+    lines = []
+    for line in DICTIONARY:
+        word, frequency = line.split("\t")
+        first = rng.randint(0, int(frequency))
+        lines += [f"{word}\t{first}", f"{word}\t{int(frequency) - first}"]
+    with tempfile.TemporaryDirectory() as work:
+        assert build_with_dictionary(lines, Path(work)) == reference

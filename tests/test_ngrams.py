@@ -70,12 +70,6 @@ class TestNgramTable:
         with pytest.raises(ValueError, match="not a 2-gram"):
             table.accumulate(1, [("çok",)])
 
-    def test_rejects_unknown_class_when_restricted(self):
-        table = NgramTable(1, classes=[1, 2, 3])
-        table.accumulate(2, [("a",)])
-        with pytest.raises(ValueError, match="outside the configured classes"):
-            table.accumulate(9, [("a",)])
-
     def test_unrestricted_table_accepts_any_class(self):
         table = NgramTable(1)
         table.accumulate(99, [("a",)])
@@ -104,16 +98,6 @@ class TestMerge:
     def test_size_mismatch(self):
         with pytest.raises(ValueError, match="cannot merge"):
             NgramTable(1).merge(NgramTable(2))
-
-    def test_allowed_classes_union(self):
-        a = NgramTable(1, classes=[1])
-        b = NgramTable(1, classes=[2])
-        assert a.merge(b).allowed_classes == frozenset({1, 2})
-
-    def test_unrestricted_side_wins(self):
-        a = NgramTable(1, classes=[1])
-        b = NgramTable(1)
-        assert a.merge(b).allowed_classes is None
 
     @given(tables(2), tables(2))
     def test_commutative(self, a, b):

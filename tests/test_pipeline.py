@@ -1,6 +1,9 @@
+import gc
 import hashlib
 import io
 import json
+import time
+from importlib.resources import files
 from pathlib import Path
 
 import pytest
@@ -8,14 +11,18 @@ import pytest
 from turlex import (
     CorrectorConfig,
     JobConfig,
+    LexiconResources,
     Method,
+    NgramTable,
     ParseError,
+    RawReview,
     bench_compare,
     correct_text,
     ingest_jsonl,
     round_score,
     run_pipeline,
 )
+from turlex import pipeline
 
 
 class TestRoundScore:
@@ -280,6 +287,40 @@ class TestRunPipeline:
                 digest.update((out / name).read_bytes())
             digests.add(digest.hexdigest())
         assert len(digests) == 1
+
+    def test_ingest_phase_excludes_loading_the_resources(self, tmp_path, bundled, monkeypatch):
+        def slow_bundled(cls):
+            time.sleep(0.2)
+            return bundled
+
+        monkeypatch.setattr(LexiconResources, "bundled", classmethod(slow_bundled))
+        corpus = write_corpus(tmp_path / "reviews.jsonl", CORPUS[:1])
+        report = run_pipeline(JobConfig(inputs=(corpus,), out_dir=str(tmp_path / "out")))
+        assert report.phase_seconds["ingest"] < 0.2
+
+    def test_nothing_of_an_input_file_outlives_its_merge(self, tmp_path, bundled, monkeypatch):
+        def live():
+            gc.collect()
+            objects = gc.get_objects()
+            return (
+                sum(isinstance(obj, RawReview) for obj in objects),
+                sum(isinstance(obj, NgramTable) for obj in objects),
+            )
+
+        seen = []
+        emit = pipeline._emit
+
+        def counting_emit(*args):
+            seen.append(live())
+            return emit(*args)
+
+        monkeypatch.setattr(pipeline, "_emit", counting_emit)
+        corpus = str(files("turlex.data") / "sample_reviews.jsonl")
+        reviews_before, tables_before = live()
+        run_pipeline(JobConfig(inputs=(corpus,), out_dir=str(tmp_path / "out")), bundled)
+        [(reviews, tables)] = seen
+        # Only the run's three tables, one per gram size, reach emit.
+        assert (reviews - reviews_before, tables - tables_before) == (0, 3)
 
 
 class TestBenchCompare:

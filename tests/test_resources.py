@@ -14,6 +14,7 @@ from turlex import (
     load_stopwords,
     load_suffixes,
 )
+from turlex.resources import decode_line
 
 
 def buf(text: str) -> io.BytesIO:
@@ -117,6 +118,27 @@ class TestDictionary:
         assert Dictionary({"a": 1}) == Dictionary({"a": 1})
         assert Dictionary({"a": 1}) != Dictionary({"a": 2})
         assert Dictionary({"a": 1}).__eq__(42) is NotImplemented
+
+
+class TestDecodeLine:
+    @pytest.mark.parametrize(
+        ("raw", "line"),
+        [
+            (b"\xc3\xa7ok\n", "çok"),
+            (b"\xc3\xa7ok\r\n", "çok"),
+            (b"last line", "last line"),
+            (b"two\r\r\n", "two\r"),
+            (b"\n", ""),
+        ],
+    )
+    def test_drops_the_newline_and_one_carriage_return(self, raw, line):
+        assert decode_line(raw) == line
+
+    def test_undecodable_bytes_have_no_line_number(self):
+        with pytest.raises(ParseError) as err:
+            decode_line(b"g\xfczel\n")
+        assert err.value.line is None
+        assert str(err.value) == "not valid UTF-8: invalid start byte"
 
 
 class TestLoadStopwords:

@@ -11,6 +11,7 @@ from turlex import (
     tokenize,
     turkish_lowercase,
 )
+from turlex.tokenizer import _is_noise
 
 from .oracles import slow_collapse
 
@@ -68,6 +69,16 @@ class TestStripNoise:
     @given(tr_text)
     def test_length_preserved(self, text):
         assert len(strip_noise(text)) == len(text)
+
+    def test_classification_cache_stays_bounded(self):
+        # Every code point up to U+2FFFF, surrogates included, through one call.
+        text = "".join(map(chr, range(0x30000)))
+        categories = map(unicodedata.category, text)
+        uncached = "".join(
+            " " if cat[0] in ("P", "S") or cat == "Nd" else ch for ch, cat in zip(text, categories)
+        )
+        assert strip_noise(text) == uncached
+        assert _is_noise.cache_info().currsize <= 4096
 
 
 class TestTokenize:
