@@ -38,6 +38,10 @@ class NgramTable:
     decides which ratings are accepted. Tables merge pointwise, so each
     input file can be counted on its own and combined later; merging is
     commutative and associative with the empty table as identity.
+
+    ``class_tables`` and ``counts()`` are read-only views: every change
+    goes through ``accumulate``, which also drops the ranked key lists
+    the table keeps, one per class, for the lexicon files.
     """
 
     def __init__(self, n: int):
@@ -45,14 +49,23 @@ class NgramTable:
             raise ValueError(f"gram size must be one of {GRAM_SIZES}, got {n!r}")
         self.n = n
         self.class_tables: dict[int, Counter[NgramKey]] = {}
+        self._ranked: dict[int, list[NgramKey]] = {}
 
     def accumulate(self, rating: int, keys: Iterable[NgramKey]) -> None:
-        """Count keys under a rating class, creating the class on first use."""
-        counter = self.class_tables.setdefault(rating, Counter())
-        for key in keys:
-            if len(key) != self.n:
-                raise ValueError(f"{key!r} is not a {self.n}-gram")
-            counter[key] += 1
+        """Count keys under a rating class, creating the class on first use.
+
+        Every key's width is checked before any is counted, so a rejected
+        call leaves the table as it was.
+        """
+        keys = list(keys)
+        if set(map(len, keys)) - {self.n}:
+            bad = next(key for key in keys if len(key) != self.n)
+            raise ValueError(f"{bad!r} is not a {self.n}-gram")
+        counter = self.class_tables.get(rating)
+        if counter is None:
+            counter = self.class_tables[rating] = Counter()
+        counter.update(keys)
+        self._ranked.clear()
 
     def merge(self, other: "NgramTable") -> "NgramTable":
         """Pointwise sum of two tables of the same gram size."""
@@ -84,22 +97,37 @@ class NgramTable:
     def counts(self, rating: int) -> Counter[NgramKey]:
         return self.class_tables[rating]
 
-    def exclusive(self, rating: int) -> list[tuple[NgramKey, int]]:
-        """Keys appearing in this class and no other, most frequent first.
+    def ranked(self, rating: int) -> list[NgramKey]:
+        """The class's keys, most frequent first, ties broken
+        lexicographically on the space-joined terms; keys that tie on
+        both keep their counting order.
 
-        Ties break lexicographically on the space-joined terms.
+        Sorted once per class until the next ``accumulate``; the list is
+        the table's own, so callers must not change it.
         """
+        keys = self._ranked.get(rating)
+        if keys is None:
+            keys = self._ranked[rating] = self._rank(rating)
+        return keys
+
+    def _rank(self, rating: int) -> list[NgramKey]:
+        counter = self.class_tables[rating]
+        # Two stable sorts: by terms, then by count descending, which keeps
+        # the terms order among equal counts.
+        keys = sorted(counter, key=" ".join)
+        keys.sort(key=counter.__getitem__, reverse=True)
+        return keys
+
+    def exclusive(self, rating: int) -> list[tuple[NgramKey, int]]:
+        """Keys appearing in this class and no other, in ``ranked`` order."""
         if rating not in self.class_tables:
             raise ValueError(f"class {rating} not present in this table")
         own = self.class_tables[rating]
-        others = [c for r, c in self.class_tables.items() if r != rating]
-        rows = [
-            (key, count)
-            for key, count in own.items()
-            if not any(key in other for other in others)
-        ]
-        rows.sort(key=lambda row: (-row[1], " ".join(row[0])))
-        return rows
+        alone = set(own)
+        for other, counter in self.class_tables.items():
+            if other != rating:
+                alone.difference_update(counter)
+        return [(key, own[key]) for key in self.ranked(rating) if key in alone]
 
     def shared(self, ratings: Iterable[int]) -> list[NgramKey]:
         """Keys present in every one of the given classes.
@@ -138,25 +166,26 @@ class NgramTable:
 def verify_partition(table: NgramTable) -> None:
     """Check the exclusive/shared set algebra on a table; raise on violation.
 
-    Every exclusive key must be absent from all other classes, and for a
-    two-class table the two exclusive lists plus the shared list must
-    cover every key exactly once per side.
+    Every exclusive key must be counted in its own class and in no other,
+    and for a two-class table the two exclusive lists plus the shared list
+    must cover every key exactly once per side.
     """
     ratings = table.classes()
+    owners: Counter[NgramKey] = Counter()
     for rating in ratings:
-        other_keys: set[NgramKey] = set()
-        for other in ratings:
-            if other != rating:
-                other_keys |= set(table.class_tables[other])
-        for key, _ in table.exclusive(rating):
-            if key in other_keys:
-                raise AssertionError(f"exclusive key {key!r} of class {rating} appears elsewhere")
+        owners.update(table.class_tables[rating].keys())
+    exclusive: dict[int, set[NgramKey]] = {}
+    for rating in ratings:
+        own = table.class_tables[rating]
+        keys = exclusive[rating] = {key for key, _ in table.exclusive(rating)}
+        for key in keys:
+            if owners[key] != 1 or key not in own:
+                raise AssertionError(f"exclusive key {key!r} of class {rating} is not counted in it alone")
     if len(ratings) == 2:
         a, b = ratings
         keys_a = set(table.class_tables[a])
         keys_b = set(table.class_tables[b])
-        excl_a = {key for key, _ in table.exclusive(a)}
-        excl_b = {key for key, _ in table.exclusive(b)}
+        excl_a, excl_b = exclusive[a], exclusive[b]
         shared = set(table.shared((a, b)))
         if excl_a | shared != keys_a or excl_b | shared != keys_b:
             raise AssertionError("exclusive and shared lists do not cover the table")

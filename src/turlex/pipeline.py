@@ -253,46 +253,46 @@ def _map(
 
 
 def _emit(tables: dict[int, NgramTable], out_dir: Path, min_count: int) -> list[str]:
-    """Write gram, exclusive and shared TSV files; return emitted names."""
+    """Write gram, exclusive and shared TSV files; return emitted names.
+
+    Each gram size's table is taken out of ``tables`` and dropped once its
+    files are written, so emit holds one size's table at a time.
+    """
     out_dir.mkdir(parents=True, exist_ok=True)
     emitted: list[str] = []
     for n in sorted(tables):
-        table = tables[n].filtered(min_count)
-        verify_partition(table)
-        present = table.classes()
-        for rating in present:
-            rows = sorted(table.counts(rating).items(), key=lambda r: (-r[1], " ".join(r[0])))
-            emitted.append(
-                _write_rows(out_dir, f"grams_n{n}_class{rating}.tsv", rows, with_count=True)
-            )
-            emitted.append(
-                _write_rows(
-                    out_dir,
-                    f"exclusive_n{n}_class{rating}.tsv",
-                    table.exclusive(rating),
-                    with_count=True,
-                )
-            )
-        if len(present) >= 2:
-            lo, hi = present[0], present[-1]
-            shared_rows = [(key, None) for key in table.shared((lo, hi))]
-            emitted.append(
-                _write_rows(
-                    out_dir,
-                    f"shared_n{n}_classes{lo}-{hi}.tsv",
-                    shared_rows,
-                    with_count=False,
-                )
-            )
+        emitted += _emit_table(tables.pop(n).filtered(min_count), out_dir)
     return sorted(emitted)
 
 
-def _write_rows(out_dir: Path, name: str, rows, with_count: bool) -> str:
-    lines = []
-    for key, count in rows:
-        term = " ".join(key)
-        lines.append(f"{term}\t{count}\n" if with_count else f"{term}\n")
-    (out_dir / name).write_bytes("".join(lines).encode("utf-8"))
+def _emit_table(table: NgramTable, out_dir: Path) -> list[str]:
+    """Write one gram size's files; return their names."""
+    n = table.n
+    verify_partition(table)
+    present = table.classes()
+    emitted = []
+    for rating in present:
+        keys = table.ranked(rating)
+        rows = zip(keys, map(table.counts(rating).__getitem__, keys))
+        emitted.append(_write_rows(out_dir, f"grams_n{n}_class{rating}.tsv", rows))
+        emitted.append(_write_rows(out_dir, f"exclusive_n{n}_class{rating}.tsv", table.exclusive(rating)))
+    if len(present) >= 2:
+        lo, hi = present[0], present[-1]
+        emitted.append(_write_keys(out_dir, f"shared_n{n}_classes{lo}-{hi}.tsv", table.shared((lo, hi))))
+    return emitted
+
+
+def _write_rows(out_dir: Path, name: str, rows: Iterable[tuple[tuple[str, ...], int]]) -> str:
+    """One line per (key, count) row: the key's terms, a tab, the count."""
+    text = "".join([f"{' '.join(key)}\t{count}\n" for key, count in rows])
+    (out_dir / name).write_bytes(text.encode("utf-8"))
+    return name
+
+
+def _write_keys(out_dir: Path, name: str, keys: Iterable[tuple[str, ...]]) -> str:
+    """One line per key: its terms."""
+    text = "".join([" ".join(key) + "\n" for key in keys])
+    (out_dir / name).write_bytes(text.encode("utf-8"))
     return name
 
 

@@ -200,21 +200,26 @@ class SuffixStemmer:
 
     Repeatedly removes the longest inventory suffix whose removal keeps at
     least ``MIN_STEM_LEN`` characters, so stacked endings come off one at a
-    time ("zamanlarda" -> "zamanlar" -> "zaman"). Ties between equally long
-    suffixes follow inventory order. The output never matches another
-    strippable suffix, which makes stemming idempotent by construction.
+    time ("zamanlarda" -> "zamanlar" -> "zaman"). The output never matches
+    another strippable suffix, which makes stemming idempotent by
+    construction.
     """
 
     def __init__(self, suffixes: Sequence[str]):
-        # Stable sort: longest first, inventory order within a length.
-        self._suffixes = sorted((s for s in suffixes if s), key=len, reverse=True)
+        # One set per suffix length, longest first. Two suffixes of one
+        # length cannot both end a word, so within a length order is moot.
+        by_length: dict[int, set[str]] = {}
+        for suffix in suffixes:
+            if suffix:
+                by_length.setdefault(len(suffix), set()).add(suffix)
+        self._by_length = sorted(by_length.items(), reverse=True)
 
     def stem(self, word: str) -> str:
         current = word
         while True:
-            for suffix in self._suffixes:
-                if len(current) - len(suffix) >= MIN_STEM_LEN and current.endswith(suffix):
-                    current = current[: -len(suffix)]
+            for length, group in self._by_length:
+                if len(current) - length >= MIN_STEM_LEN and current[-length:] in group:
+                    current = current[:-length]
                     break
             else:
                 return current

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import unicodedata
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import groupby, product
 from typing import Container, Iterable
 
@@ -49,11 +48,25 @@ def turkish_lowercase(text: str) -> str:
     return text.translate(_TR_CASEFIX).lower()
 
 
-# Bounded, so a line spanning all of Unicode cannot grow it for good.
-@lru_cache(maxsize=4096)
-def _is_noise(ch: str) -> bool:
-    cat = unicodedata.category(ch)
-    return cat[0] in ("P", "S") or cat == "Nd"
+_NOISE_TABLE_MAX = 4096
+
+
+class _NoiseTable(dict):
+    """str.translate table: a noise code point maps to a space, any other
+    to itself. Code points are classified on first sight and cached; the
+    cache starts over when full, so a line spanning all of Unicode cannot
+    grow it for good."""
+
+    def __missing__(self, code: int) -> str | int:
+        cat = unicodedata.category(chr(code))
+        value = " " if cat[0] in ("P", "S") or cat == "Nd" else code
+        if len(self) >= _NOISE_TABLE_MAX:
+            self.clear()
+        self[code] = value
+        return value
+
+
+_NOISE_TABLE = _NoiseTable()
 
 
 def strip_noise(text: str) -> str:
@@ -61,7 +74,7 @@ def strip_noise(text: str) -> str:
 
     Letters and whitespace pass through unchanged.
     """
-    return "".join(" " if _is_noise(ch) else ch for ch in text)
+    return text.translate(_NOISE_TABLE)
 
 
 def tokenize(text: str) -> list[Token]:

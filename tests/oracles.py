@@ -8,6 +8,7 @@ The production code must agree with these on every checked input.
 from __future__ import annotations
 
 import itertools
+import unicodedata
 from functools import lru_cache
 
 
@@ -202,3 +203,66 @@ def slow_correct_word(
     if hit is None:
         return word, word, "unchanged", 0.0, tuple(trace)
     return word, hit[0], hit[1], hit[2], tuple(trace + [hit[1]])
+
+
+def slow_strip_noise(text: str) -> str:
+    """Classify every character from its Unicode category, no cache."""
+    out = []
+    for ch in text:
+        cat = unicodedata.category(ch)
+        out.append(" " if cat[0] in ("P", "S") or cat == "Nd" else ch)
+    return "".join(out)
+
+
+def slow_stem(suffixes: list[str], word: str, min_stem_len: int = 3) -> str:
+    """Try every inventory suffix, longest first and in inventory order
+    within a length; strip the first that leaves ``min_stem_len``
+    characters, and repeat until none does."""
+    ordered = sorted((s for s in suffixes if s), key=len, reverse=True)
+    current = word
+    while True:
+        for suffix in ordered:
+            if len(current) - len(suffix) >= min_stem_len and current.endswith(suffix):
+                current = current[: -len(suffix)]
+                break
+        else:
+            return current
+
+
+def slow_exclusive(table, rating: int) -> list[tuple[tuple[str, ...], int]]:
+    """Scan the class's counts against every other class, then sort the
+    (key, count) rows by count descending and space-joined terms; rows
+    that tie on both keep the class's counting order."""
+    if rating not in table.class_tables:
+        raise ValueError(f"class {rating} not present in this table")
+    own = table.class_tables[rating]
+    others = [c for r, c in table.class_tables.items() if r != rating]
+    rows = [(key, count) for key, count in own.items() if not any(key in other for other in others)]
+    rows.sort(key=lambda row: (-row[1], " ".join(row[0])))
+    return rows
+
+
+def slow_verify_partition(table) -> None:
+    """Rebuild the union of the other classes' keys for every class and
+    check the table's own exclusive lists against it; for two classes,
+    also check that exclusive and shared lists cover each side exactly."""
+    ratings = sorted(table.class_tables)
+    for rating in ratings:
+        other_keys: set = set()
+        for other in ratings:
+            if other != rating:
+                other_keys |= set(table.class_tables[other])
+        for key, _ in table.exclusive(rating):
+            if key in other_keys:
+                raise AssertionError(f"exclusive key {key!r} of class {rating} appears elsewhere")
+    if len(ratings) == 2:
+        a, b = ratings
+        keys_a = set(table.class_tables[a])
+        keys_b = set(table.class_tables[b])
+        excl_a = {key for key, _ in table.exclusive(a)}
+        excl_b = {key for key, _ in table.exclusive(b)}
+        shared = set(table.shared((a, b)))
+        if excl_a | shared != keys_a or excl_b | shared != keys_b:
+            raise AssertionError("exclusive and shared lists do not cover the table")
+        if excl_a & shared or excl_b & shared or excl_a & excl_b:
+            raise AssertionError("exclusive and shared lists overlap")

@@ -3,7 +3,7 @@ from hypothesis import given, strategies as st
 
 from turlex import NgramTable, extract_ngrams, verify_partition
 
-from .oracles import slow_ngrams
+from .oracles import slow_exclusive, slow_ngrams, slow_verify_partition
 
 words = st.lists(st.sampled_from(["çok", "iyi", "film", "kötü", "ama"]), max_size=8)
 
@@ -69,6 +69,16 @@ class TestNgramTable:
         table = NgramTable(2)
         with pytest.raises(ValueError, match="not a 2-gram"):
             table.accumulate(1, [("çok",)])
+
+    def test_rejected_call_counts_nothing(self):
+        table = NgramTable(1)
+        with pytest.raises(ValueError, match=r"\('b', 'c'\) is not a 1-gram"):
+            table.accumulate(3, [("a",), ("b", "c")])
+        assert table.class_tables == {}
+        table.accumulate(5, [("a",)])
+        with pytest.raises(ValueError):
+            table.accumulate(5, (key for key in [("b",), ("c", "d")]))
+        assert table.class_tables == {5: {("a",): 1}}
 
     def test_unrestricted_table_accepts_any_class(self):
         table = NgramTable(1)
@@ -203,6 +213,84 @@ class TestExclusiveAndShared:
         table.exclusive = lambda rating: [(("x",), 1), (("y",), 1)]  # type: ignore[method-assign]
         with pytest.raises(AssertionError):
             verify_partition(table)
+
+    def test_verify_partition_rejects_a_key_another_class_owns_alone(self):
+        table = table_from(1, [(1, ["x"]), (2, ["y"]), (3, ["z"])])
+        real = table.exclusive
+        # ("y",) is counted once over all classes, but in class 2, not 1.
+        table.exclusive = lambda rating: real(rating) + [(("y",), 1)] * (rating == 1)  # type: ignore[method-assign]
+        with pytest.raises(AssertionError, match="class 1"):
+            verify_partition(table)
+
+
+# Terms with spaces, so that ("a b", "c") and ("a", "b c") join to the same
+# line and only counting order breaks their tie.
+joinable = st.lists(st.sampled_from(["a", "b", "c", "a b", "b c"]), max_size=8)
+rated = st.tuples(st.integers(min_value=1, max_value=5), joinable)
+
+
+class TestAgainstOracles:
+    @pytest.mark.parametrize("keys", [[("a b", "c"), ("a", "b c")], [("a", "b c"), ("a b", "c")]])
+    def test_keys_whose_terms_join_alike_keep_counting_order(self, keys):
+        table = NgramTable(2)
+        table.accumulate(1, keys)
+        table.accumulate(2, [("x", "y")])
+        assert table.ranked(1) == keys
+        assert table.exclusive(1) == slow_exclusive(table, 1) == [(key, 1) for key in keys]
+
+    @given(st.sampled_from([1, 2, 3]), st.lists(rated, min_size=1, max_size=12))
+    def test_exclusive_and_ranking(self, n, rows):
+        table = table_from(n, rows)
+        for rating in table.classes():
+            assert table.exclusive(rating) == slow_exclusive(table, rating)
+            counts = table.counts(rating)
+            everything = sorted(counts.items(), key=lambda row: (-row[1], " ".join(row[0])))
+            assert table.ranked(rating) == [key for key, _ in everything]
+
+    @given(
+        st.lists(
+            st.one_of(
+                st.tuples(st.just("count"), st.tuples(st.integers(1, 2), joinable.filter(lambda terms: len(terms) >= 2))),
+                st.tuples(st.just("reject"), rated),
+                st.tuples(st.just("exclusive"), st.integers(1, 2)),
+            ),
+            max_size=20,
+        )
+    )
+    def test_exclusive_follows_every_accumulate(self, ops):
+        table = NgramTable(2)
+        for op, arg in ops:
+            if op == "count":
+                rating, terms = arg
+                table.accumulate(rating, extract_ngrams(terms, 2))
+            elif op == "reject":
+                rating, terms = arg
+                with pytest.raises(ValueError):
+                    table.accumulate(rating, extract_ngrams(terms, 2) + [("a",)])
+            elif arg in table.class_tables:
+                assert table.exclusive(arg) == slow_exclusive(table, arg)
+
+    @given(st.lists(rated, min_size=1, max_size=10), st.data())
+    def test_verify_partition_agrees_on_doctored_lists(self, rows, data):
+        # Doctored lists hold only keys some class counts: the oracle lets a
+        # key no class counts pass for three or more classes.
+        table = table_from(1, rows)
+        present = sorted({key for counter in table.class_tables.values() for key in counter})
+        real = table.exclusive
+        doctored = {}
+        for rating in table.classes():
+            if present and data.draw(st.booleans()):
+                doctored[rating] = [(key, 1) for key in data.draw(st.lists(st.sampled_from(present), max_size=4))]
+        table.exclusive = lambda rating: doctored[rating] if rating in doctored else real(rating)  # type: ignore[method-assign]
+
+        def verdict(check):
+            try:
+                check(table)
+            except AssertionError:
+                return False
+            return True
+
+        assert verdict(verify_partition) == verdict(slow_verify_partition)
 
 
 class TestEquality:

@@ -3,6 +3,8 @@ import hashlib
 import io
 import json
 import time
+import weakref
+from collections import Counter
 from importlib.resources import files
 from pathlib import Path
 
@@ -321,6 +323,48 @@ class TestRunPipeline:
         [(reviews, tables)] = seen
         # Only the run's three tables, one per gram size, reach emit.
         assert (reviews - reviews_before, tables - tables_before) == (0, 3)
+
+    def test_emit_ranks_each_class_once_and_holds_one_size_at_a_time(self, tmp_path, bundled, monkeypatch):
+        ranks = Counter()
+        rank = NgramTable._rank
+
+        def counting_rank(table, rating):
+            ranks[(table.n, rating)] += 1
+            return rank(table, rating)
+
+        tables = {}
+        verify = pipeline.verify_partition
+
+        def recording_verify(table):
+            tables[table.n] = weakref.ref(table)
+            return verify(table)
+
+        alive = {}  # gram size -> sizes whose table is alive at its first file
+        write = pipeline._write_rows
+
+        def checking_write(out_dir, name, rows):
+            n = int(name.split("_n")[1][0])
+            alive.setdefault(n, sorted(m for m, ref in tables.items() if ref() is not None))
+            return write(out_dir, name, rows)
+
+        monkeypatch.setattr(NgramTable, "_rank", counting_rank)
+        monkeypatch.setattr(pipeline, "verify_partition", recording_verify)
+        monkeypatch.setattr(pipeline, "_write_rows", checking_write)
+        corpus = str(files("turlex.data") / "sample_reviews.jsonl")
+        report = run_pipeline(JobConfig(inputs=(corpus,), out_dir=str(tmp_path / "out")), bundled)
+        assert ranks == {(n, rating): 1 for n in (1, 2, 3) for rating in report.reviews_by_class}
+        assert alive == {1: [1], 2: [2], 3: [3]}
+
+    def test_two_class_build_asks_for_each_exclusive_list_twice(self, tmp_path, tiny_resources, monkeypatch):
+        calls = Counter()
+        exclusive = NgramTable.exclusive
+        monkeypatch.setattr(
+            NgramTable, "exclusive", lambda table, rating: calls.update([(table.n, rating)]) or exclusive(table, rating)
+        )
+        corpus = write_corpus(tmp_path / "reviews.jsonl", CORPUS)
+        report = run_pipeline(JobConfig(inputs=(corpus,), out_dir=str(tmp_path / "out")), tiny_resources)
+        assert sum(name.startswith("exclusive_") for name in report.files_emitted) == 6
+        assert calls == {(n, rating): 2 for n in (1, 2, 3) for rating in (1, 5)}
 
 
 class TestBenchCompare:

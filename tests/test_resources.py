@@ -14,7 +14,13 @@ from turlex import (
     load_stopwords,
     load_suffixes,
 )
-from turlex.resources import decode_line
+from turlex.resources import _bundled, decode_line
+
+from .oracles import slow_stem
+
+
+with _bundled("suffixes.txt").open("rb") as _stream:
+    BUNDLED_SUFFIXES = load_suffixes(_stream)
 
 
 def buf(text: str) -> io.BytesIO:
@@ -212,6 +218,20 @@ class TestSuffixStemmer:
     @given(st.text(alphabet="abcçdefgğhıijklmnoöprsştuüvyz", min_size=1, max_size=15))
     def test_stem_is_never_longer(self, bundled, word):
         assert len(bundled.stemmer.stem(word)) <= len(word)
+
+    @given(st.lists(st.text(alphabet="abc", max_size=4), max_size=8), st.text(alphabet="abc", max_size=12))
+    def test_matches_suffix_by_suffix_scan(self, suffixes, word):
+        assert SuffixStemmer(suffixes).stem(word) == slow_stem(suffixes, word)
+
+    @given(
+        st.builds(
+            lambda stem, endings: stem + "".join(endings),
+            st.text(alphabet="abcçdefgğhıijklmnoöprsştuüvyz", max_size=6),
+            st.lists(st.sampled_from(BUNDLED_SUFFIXES), max_size=3),
+        )
+    )
+    def test_bundled_inventory_matches_suffix_by_suffix_scan(self, bundled, word):
+        assert bundled.stemmer.stem(word) == slow_stem(BUNDLED_SUFFIXES, word)
 
 
 class TestLexiconResources:

@@ -11,9 +11,9 @@ from turlex import (
     tokenize,
     turkish_lowercase,
 )
-from turlex.tokenizer import _is_noise
+from turlex.tokenizer import _NOISE_TABLE
 
-from .oracles import slow_collapse
+from .oracles import slow_collapse, slow_strip_noise
 
 TR_LOWER = "abcçdefgğhıijklmnoöprsştuüvyz"
 TR_UPPER = "ABCÇDEFGĞHIİJKLMNOÖPRSŞTUÜVYZ"
@@ -73,12 +73,12 @@ class TestStripNoise:
     def test_classification_cache_stays_bounded(self):
         # Every code point up to U+2FFFF, surrogates included, through one call.
         text = "".join(map(chr, range(0x30000)))
-        categories = map(unicodedata.category, text)
-        uncached = "".join(
-            " " if cat[0] in ("P", "S") or cat == "Nd" else ch for ch, cat in zip(text, categories)
-        )
-        assert strip_noise(text) == uncached
-        assert _is_noise.cache_info().currsize <= 4096
+        assert strip_noise(text) == slow_strip_noise(text)
+        assert len(_NOISE_TABLE) <= 4096
+
+    @given(st.text(alphabet=st.characters(min_codepoint=0, max_codepoint=0x10FFFF, exclude_categories=()), max_size=40))
+    def test_matches_per_character_classification(self, text):
+        assert strip_noise(text) == slow_strip_noise(text)
 
 
 class TestTokenize:
